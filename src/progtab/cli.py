@@ -320,7 +320,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     return table, reports
 
 
-def emit_ratio_sweep(config: ExperimentConfig, ratios: list[float], jobs: int = 1):
+def emit_ratio_sweep(config: ExperimentConfig, ratios: list[float]):
     """Run every configured method at each labeled ratio; emit
     (method, ratio, mean, std, n_seeds) rows and plot-ready CSV."""
     for r in ratios:
@@ -393,7 +393,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seeds", default=None, help="comma separated override")
-        p.add_argument("--jobs", type=int, default=1)
+        if verb == "run":
+            p.add_argument("--jobs", type=int, default=1)
         if verb == "sweep-ratio":
             p.add_argument("--ratios", default="0.1,0.3,0.5,0.7,0.9")
 
@@ -416,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.verb == "sweep-ratio":
             config = _load_config_file(args.config, args)
             ratios = [float(r) for r in args.ratios.split(",")]
-            emit_ratio_sweep(config, ratios, jobs=args.jobs)
+            emit_ratio_sweep(config, ratios)
             return 0
         if args.verb == "validate":
             config = _load_config_file(args.config, args)

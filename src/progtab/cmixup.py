@@ -3,7 +3,7 @@ heads, same-label mixup in latent space, supervised contrastive training, and
 graph-based label propagation for pseudo-labels.
 
 Propagation builds a symmetric kNN graph over latents (cosine similarity,
-ties broken by index), normalizes it symmetrically, and solves
+deterministic for a given input), normalizes it symmetrically, and solves
 (I - alpha * S) Z = Y one class at a time with conjugate gradients. A row's
 pseudo-label weight is one minus the normalized entropy of its diffused class
 distribution, so confident rows score near 1 and untouched rows score 0.
@@ -146,29 +146,34 @@ def latent_mixup(
     return MixupBatch(mixed, labels[anchor_idx], anchor_idx, partner_idx, lam, n_skipped)
 
 
+# similarities held at once while building the kNN graph: 4M float64 (32 MB)
+_SIM_BLOCK_VALUES = 1 << 22
+
+
 def _knn_affinity(latents: np.ndarray, k: int) -> sp.csr_matrix:
     """Symmetric kNN graph on cosine similarity; negative similarities are
-    clipped to zero. Neighbor ties break to the lower row index."""
+    clipped to zero and carry no edge.
+
+    Rows are processed in blocks of at most _SIM_BLOCK_VALUES similarities.
+    The graph is deterministic for a given input; exact ties at a row's k-th
+    positive similarity are resolved by argpartition's selection, not by
+    index."""
     n = latents.shape[0]
     z = nn.l2_normalize_rows(np.asarray(latents, dtype=np.float64))
-    rows = np.empty(n * k, dtype=np.int64)
-    cols = np.empty(n * k, dtype=np.int64)
-    vals = np.empty(n * k, dtype=np.float64)
-    block = max(1, min(n, int(2e7) // max(1, n)))
+    block = max(1, min(n, _SIM_BLOCK_VALUES // n))
+    buf = np.empty((block, n))
+    cols = np.empty((n, k), dtype=np.int64)
+    vals = np.empty((n, k))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        sims = z[start:stop] @ z.T
+        sims = np.matmul(z[start:stop], z.T, out=buf[:stop - start])
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        part = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        for bi in range(stop - start):
-            cand = part[bi]
-            order = np.lexsort((cand, -sims[bi, cand]))
-            chosen = cand[order]
-            i = start + bi
-            rows[i * k:(i + 1) * k] = i
-            cols[i * k:(i + 1) * k] = chosen
-            vals[i * k:(i + 1) * k] = np.maximum(sims[bi, chosen], 0.0)
-    w = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        top = np.argpartition(sims, n - k, axis=1)[:, n - k:]
+        cols[start:stop] = top
+        vals[start:stop] = np.take_along_axis(sims, top, axis=1)
+    np.maximum(vals, 0.0, out=vals)
+    rows = np.repeat(np.arange(n, dtype=np.int64), k)
+    w = sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(n, n))
     return w.maximum(w.T)
 
 
@@ -238,7 +243,11 @@ def propagate_labels(
 
         z = np.empty_like(y)
         for c in range(num_classes):
-            z[:, c] = _conjugate_gradient(matvec, y[:, c], tol, max_iter)
+            try:
+                z[:, c] = _conjugate_gradient(matvec, y[:, c], tol, max_iter)
+            except PropagationError as exc:
+                raise PropagationError(
+                    f"propagation over {n} rows, class {c} of {num_classes}: {exc}") from None
 
     z = np.maximum(z, 0.0)
     row_sum = z.sum(axis=1, keepdims=True)

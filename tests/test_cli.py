@@ -195,6 +195,14 @@ class TestCliEntry:
         cfg_path.write_text(json.dumps(payload))
         assert main(["validate", "--config", str(cfg_path)]) == 1
 
+    def test_jobs_only_on_run_verb(self, tmp_path):
+        payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", str(cfg_path), "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_run_verb(self, tmp_path, capsys):
         payload = tiny_payload(tmp_path, [
             {"preset": "supervised", "overrides": fast_overrides()}])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progtab.cmixup import (
     MixupSpec,
     PropagationError,
+    _knn_affinity,
     build_cmixup_model,
     classify,
     encoder_train,
@@ -88,6 +90,34 @@ def two_clusters(n=500, sigma=0.1, dim=8, seed=0):
     return pts, y
 
 
+def dense_knn_reference(latents, k):
+    """The kNN graph from the full cosine matrix, each row fully sorted."""
+    z = latents / np.linalg.norm(latents, axis=1, keepdims=True)
+    sims = z @ z.T
+    np.fill_diagonal(sims, -np.inf)
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    w = np.zeros_like(sims)
+    rows = np.arange(latents.shape[0])[:, None]
+    w[rows, top] = np.maximum(sims[rows, top], 0.0)
+    return sp.csr_matrix(np.maximum(w, w.T))
+
+
+class TestKnnAffinity:
+    # 3,000 rows take 1,398 rows per block: two full blocks and a short tail
+    @pytest.mark.parametrize("n,k", [(3000, 10), (40, 5)])
+    def test_matches_dense_reference(self, n, k):
+        latents = np.random.default_rng(n).normal(size=(n, 6))
+        got = _knn_affinity(latents, k)
+        want = dense_knn_reference(latents, k)
+        got.sort_indices()
+        want.sort_indices()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert (got != got.T).nnz == 0
+        assert np.all(got.diagonal() == 0.0)
+
+
 class TestPropagation:
     def test_two_separated_clusters(self):
         pts, y = two_clusters()
@@ -134,6 +164,12 @@ class TestPropagation:
         seeds = np.array([int(np.flatnonzero(labels == c)[0]) for c in range(3)])
         res = propagate_labels(latents, seeds, labels[seeds], 3, k=8)
         assert np.all((res.weight >= 0.0) & (res.weight <= 1.0))
+
+    def test_cg_failure_names_the_class(self):
+        pts, y = two_clusters()
+        seeds = np.array([0, 250])
+        with pytest.raises(PropagationError, match="class 0 of 2"):
+            propagate_labels(pts, seeds, y[seeds], 2, k=50, max_iter=1)
 
     def test_deterministic(self):
         pts, y = two_clusters(seed=2)
