@@ -13,7 +13,7 @@ from .data import (  # noqa: F401
     make_split,
     synthesize_dataset,
 )
-from .encoding import CprTable, EncodedMatrix, encode, fit_cpr, update_counts  # noqa: F401
+from .encoding import CountTable, EncodedMatrix, encode, fit_cpr, update_counts  # noqa: F401
 from .progressive import (  # noqa: F401
     ExperimentReport,
     PseudoLabelSet,

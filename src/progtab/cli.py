@@ -110,18 +110,6 @@ def ablation_methods(base: RunConfig | None = None) -> list[RunConfig]:
     return out
 
 
-def pivot_ablation_results(summary: dict) -> dict[str, dict[str, dict]]:
-    """Reshape ablation method names back into the components-by-mode grid."""
-    grid: dict[str, dict[str, dict]] = {}
-    pattern = re.compile(r"^ablate\[(?P<flags>[^\]]+)\]/(?P<mode>.+)$")
-    for method, cell in summary.items():
-        m = pattern.match(method)
-        if not m:
-            continue
-        grid.setdefault(m.group("flags"), {})[m.group("mode")] = cell
-    return grid
-
-
 @dataclass
 class ExperimentConfig:
     dataset: dict  # {"kind": "synthetic", "preset"|"spec": ...} | {"kind": "csv", ...}
@@ -359,10 +347,6 @@ def emit_ratio_sweep(config: ExperimentConfig, ratios: list[float]):
     return rows, warnings
 
 
-def validate_config(config: ExperimentConfig) -> list[str]:
-    return config.validate()
-
-
 # --------------------------------------------------------------------------
 # Command line entry points
 # --------------------------------------------------------------------------
@@ -421,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.verb == "validate":
             config = _load_config_file(args.config, args)
-            problems = validate_config(config)
+            problems = config.validate()
             for pr in problems:
                 print(f"invalid: {pr}")
             if problems:

@@ -77,22 +77,12 @@ class TabularDataset:
     def n_cols(self) -> int:
         return self.rows.shape[1]
 
-    def column_index(self, name: str) -> int:
-        for m, col in enumerate(self.schema):
-            if col.name == name:
-                return m
-        raise KeyError(name)
-
     def categorical_columns(self) -> list[int]:
         return [m for m, c in enumerate(self.schema) if c.kind == "categorical"]
 
     def numeric_columns(self) -> list[int]:
         """Numerical and date columns (dates are reals after conversion)."""
         return [m for m, c in enumerate(self.schema) if c.kind != "categorical"]
-
-    def categorical_cells(self, m: int) -> np.ndarray:
-        return self.rows[:, m].astype(np.int64)
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -456,43 +446,3 @@ def dataset_to_csv(ds: TabularDataset, path, label_column: str = "label") -> Non
             if ds.labels is not None:
                 row.append(int(ds.labels[i]))
             writer.writerow(row)
-
-
-_CACHE_VERSION = 1
-
-
-def save_cache(ds: TabularDataset, path) -> None:
-    """Binary dataset cache; round-trips exactly (float64 bits preserved)."""
-    import json
-
-    schema_json = json.dumps(
-        [
-            {"name": c.name, "kind": c.kind, "cardinality": c.cardinality,
-             "domain": list(c.domain) if c.domain else None}
-            for c in ds.schema
-        ]
-    )
-    np.savez(
-        path,
-        version=np.int64(_CACHE_VERSION),
-        schema=np.frombuffer(schema_json.encode("utf-8"), dtype=np.uint8),
-        rows=ds.rows,
-        labels=ds.labels if ds.labels is not None else np.empty(0, dtype=np.int64),
-        has_labels=np.int64(ds.labels is not None),
-        num_classes=np.int64(ds.num_classes),
-    )
-
-
-def load_cache(path) -> TabularDataset:
-    import json
-
-    with np.load(path) as z:
-        if int(z["version"]) != _CACHE_VERSION:
-            raise DataError(f"unsupported cache version {int(z['version'])}")
-        schema = tuple(
-            ColumnSchema(d["name"], d["kind"], d["cardinality"],
-                         tuple(d["domain"]) if d["domain"] else None)
-            for d in json.loads(bytes(z["schema"]).decode("utf-8"))
-        )
-        labels = z["labels"] if int(z["has_labels"]) else None
-        return TabularDataset(schema, z["rows"], labels, int(z["num_classes"]))

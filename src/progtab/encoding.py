@@ -1,13 +1,12 @@
-"""Categorical encodings: conditional-probability counts (core), target
-encoding, one-hot and label encoding baselines.
+"""Categorical encodings: one count table read as conditional probabilities
+(core) or as target encoding, and one-hot and label encoding baselines.
 
-Count tables store exact integer co-occurrence counts and compute
+The count table stores exact integer co-occurrence counts and computes
 probabilities on read, so incremental updates and refits agree exactly.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,76 +19,59 @@ class EncodingError(ValueError):
 
 
 @dataclass(frozen=True)
-class CprTable:
-    """Per categorical column: (cardinality, C) class-count matrix.
+class CountTable:
+    """Per categorical column: a (cardinality, C) matrix of exact (value, class)
+    counts, read as one probability row per value.
 
-    The encoded vector of value v is (counts[v] + alpha) / (total[v] + C*alpha);
-    a value with zero total and alpha=0 falls back to the uniform 1/C vector.
+    With ``smoothing=None`` the read is Laplace: value v encodes as
+    (counts[v] + alpha) / (total[v] + C*alpha), and a value with zero total
+    and alpha=0 falls back to the uniform 1/C vector. With a positive
+    ``smoothing`` s the read is target encoding (Micci-Barreca, 2001): a value
+    with n observations encodes as n/(n+s) * counts[v]/n + s/(n+s) * prior,
+    where the prior is the class share of all counted rows.
     """
 
     counts: dict[str, np.ndarray]  # column name -> (K_m, C) int64
     num_classes: int
     laplace_alpha: float = 1.0
+    smoothing: float | None = None
 
     def __post_init__(self):
         if self.laplace_alpha < 0:
             raise EncodingError("laplace_alpha must be >= 0")
+        if self.smoothing is not None and not self.smoothing > 0:
+            raise EncodingError("smoothing must be > 0")
         for name, c in self.counts.items():
             if c.ndim != 2 or c.shape[1] != self.num_classes:
                 raise EncodingError(f"column {name!r}: count matrix must be (K, C)")
             if (c < 0).any():
                 raise EncodingError(f"column {name!r}: negative count")
 
-    def totals(self, column: str) -> np.ndarray:
-        return self.counts[column].sum(axis=1)
-
     def probabilities(self, column: str) -> np.ndarray:
         """(K_m, C) encoded rows; each sums to 1."""
-        c = self.counts[column].astype(np.float64)
-        denom = c.sum(axis=1, keepdims=True) + self.num_classes * self.laplace_alpha
-        p = (c + self.laplace_alpha) / np.where(denom > 0, denom, 1.0)
-        zero = denom[:, 0] <= 0
-        if zero.any():
-            p[zero] = 1.0 / self.num_classes
-        return p
-
-    def block_widths(self) -> dict[str, int]:
-        return {name: self.num_classes for name in self.counts}
-
-    def column_block(self, column: str, cells: np.ndarray) -> np.ndarray:
-        return self.probabilities(column)[cells]
-
-
-@dataclass(frozen=True)
-class TargetEncodingTable:
-    """Per-class empirical estimates shrunk toward the global prior.
-
-    Encoded value for a category with n observations is a convex combination
-    n/(n+s) * estimate + s/(n+s) * prior. The classical scalar variant (smoothed
-    mean of the integer class id) is selected with scalar=True at fit time.
-    """
-
-    class_counts: dict[str, np.ndarray]  # column name -> (K_m, C) int64
-    global_prior: np.ndarray  # (C,)
-    smoothing: float
-    num_classes: int
-    scalar: bool = False
-
-    def block_widths(self) -> dict[str, int]:
-        w = 1 if self.scalar else self.num_classes
-        return {name: w for name in self.class_counts}
-
-    def column_block(self, column: str, cells: np.ndarray) -> np.ndarray:
-        c = self.class_counts[column].astype(np.float64)
+        counts = self.counts[column]
+        c = counts.astype(np.float64)
+        if self.smoothing is None:
+            denom = c.sum(axis=1, keepdims=True) + self.num_classes * self.laplace_alpha
+            p = (c + self.laplace_alpha) / np.where(denom > 0, denom, 1.0)
+            zero = denom[:, 0] <= 0
+            if zero.any():
+                p[zero] = 1.0 / self.num_classes
+            return p
+        # every counted row adds one count per column, so any column's class
+        # sums are the label histogram
+        prior = counts.sum(axis=0) / max(1, int(counts.sum()))
         n = c.sum(axis=1, keepdims=True)
         weight = n / (n + self.smoothing)
         with np.errstate(invalid="ignore"):
             estimate = np.where(n > 0, c / np.where(n > 0, n, 1.0), 0.0)
-        encoded = weight * estimate + (1.0 - weight) * self.global_prior
-        if self.scalar:
-            encoded = encoded @ np.arange(self.num_classes, dtype=np.float64)
-            return encoded[cells][:, None]
-        return encoded[cells]
+        return weight * estimate + (1.0 - weight) * prior
+
+    def block_widths(self) -> dict[str, int]:
+        return {name: self.num_classes for name in self.counts}
+
+    def write_block(self, column: str, cells: np.ndarray, out: np.ndarray) -> None:
+        out[:] = self.probabilities(column)[cells]
 
 
 @dataclass(frozen=True)
@@ -99,11 +81,8 @@ class OneHotEncoding:
     def block_widths(self) -> dict[str, int]:
         return dict(self.cardinalities)
 
-    def column_block(self, column: str, cells: np.ndarray) -> np.ndarray:
-        k = self.cardinalities[column]
-        out = np.zeros((cells.size, k))
+    def write_block(self, column: str, cells: np.ndarray, out: np.ndarray) -> None:
         out[np.arange(cells.size), cells] = 1.0
-        return out
 
 
 @dataclass(frozen=True)
@@ -113,8 +92,8 @@ class LabelEncoding:
     def block_widths(self) -> dict[str, int]:
         return {name: 1 for name in self.columns}
 
-    def column_block(self, column: str, cells: np.ndarray) -> np.ndarray:
-        return cells.astype(np.float64)[:, None]
+    def write_block(self, column: str, cells: np.ndarray, out: np.ndarray) -> None:
+        out[:, 0] = cells
 
 
 @dataclass(frozen=True)
@@ -134,17 +113,9 @@ def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return labels
 
 
-def fit_cpr(
-    ds: TabularDataset,
-    rows: np.ndarray,
-    labels: np.ndarray,
-    alpha: float = 1.0,
-) -> CprTable:
-    """Exact (value, class) co-occurrence counts over the given rows.
-
-    ``labels`` is aligned with ``rows``. Every domain value of every
-    categorical column gets an entry, possibly all-zero.
-    """
+def _count(ds: TabularDataset, rows: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
+    """(value, class) co-occurrence counts of every categorical column over
+    ``rows``; every domain value gets an entry, possibly all-zero."""
     rows = np.asarray(rows, dtype=np.int64)
     labels = _check_labels(labels, ds.num_classes)
     if labels.shape != rows.shape:
@@ -156,32 +127,33 @@ def fit_cpr(
         values = ds.rows[rows, m].astype(np.int64)
         np.add.at(c, (values, labels), 1)
         counts[col.name] = c
-    return CprTable(counts, ds.num_classes, alpha)
+    return counts
 
 
-def update_counts(
-    table: CprTable,
+def fit_cpr(
     ds: TabularDataset,
     rows: np.ndarray,
     labels: np.ndarray,
-) -> CprTable:
+    alpha: float = 1.0,
+) -> CountTable:
+    """Exact (value, class) counts over the given rows, read with Laplace
+    smoothing ``alpha``. ``labels`` is aligned with ``rows``."""
+    return CountTable(_count(ds, rows, labels), ds.num_classes, alpha)
+
+
+def update_counts(
+    table: CountTable,
+    ds: TabularDataset,
+    rows: np.ndarray,
+    labels: np.ndarray,
+) -> CountTable:
     """New table with counts incremented by the (value, label) pairs in rows.
 
     Pure: the input table is unmodified. Updating with rows disjoint from the
     already-counted ones equals a fresh fit on the union.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    labels = _check_labels(labels, table.num_classes)
-    if labels.shape != rows.shape:
-        raise EncodingError("labels must align one-to-one with rows")
-    counts = {}
-    for m in ds.categorical_columns():
-        name = ds.schema[m].name
-        c = table.counts[name].copy()
-        values = ds.rows[rows, m].astype(np.int64)
-        np.add.at(c, (values, labels), 1)
-        counts[name] = c
-    return replace(table, counts=counts)
+    added = _count(ds, rows, labels)
+    return replace(table, counts={name: table.counts[name] + c for name, c in added.items()})
 
 
 def fit_target_encoding(
@@ -189,22 +161,10 @@ def fit_target_encoding(
     rows: np.ndarray,
     labels: np.ndarray,
     smoothing: float = 10.0,
-    scalar: bool = False,
-) -> TargetEncodingTable:
-    rows = np.asarray(rows, dtype=np.int64)
-    labels = _check_labels(labels, ds.num_classes)
-    if smoothing <= 0:
-        raise EncodingError("smoothing must be > 0")
-    prior = np.bincount(labels, minlength=ds.num_classes).astype(np.float64)
-    prior /= max(1, labels.size)
-    counts = {}
-    for m in ds.categorical_columns():
-        col = ds.schema[m]
-        c = np.zeros((col.cardinality, ds.num_classes), dtype=np.int64)
-        values = ds.rows[rows, m].astype(np.int64)
-        np.add.at(c, (values, labels), 1)
-        counts[col.name] = c
-    return TargetEncodingTable(counts, prior, smoothing, ds.num_classes, scalar)
+) -> CountTable:
+    """Exact (value, class) counts over the given rows, read as per-class
+    estimates shrunk toward the class prior with strength ``smoothing``."""
+    return CountTable(_count(ds, rows, labels), ds.num_classes, smoothing=smoothing)
 
 
 def one_hot_encoding(ds: TabularDataset) -> OneHotEncoding:
@@ -217,86 +177,31 @@ def label_encoding(ds: TabularDataset) -> LabelEncoding:
     return LabelEncoding(tuple(ds.schema[m].name for m in ds.categorical_columns()))
 
 
-def block_width(kind: str, num_classes: int, cardinality: int) -> int:
-    """Output width of one categorical column under each encoding."""
-    if kind in ("cpr", "target"):
-        return num_classes
-    if kind == "onehot":
-        return cardinality
-    if kind == "label":
-        return 1
-    raise EncodingError(f"unknown encoding kind {kind!r}")
-
-
 def encode(ds: TabularDataset, rows: np.ndarray, tables) -> EncodedMatrix:
     """Assemble the dense design matrix for the given rows.
 
     Numeric columns pass through (scale beforehand); each categorical cell is
-    replaced by its block per the table. Column order follows the schema.
+    replaced by its block per the table, written in place into one matrix.
+    Column order follows the schema.
     """
     rows = np.asarray(rows, dtype=np.int64)
     widths = tables.block_widths()
-    parts = []
-    blocks: dict[str, tuple[int, int]] = {}
+    spans = []
     start = 0
-    for m, col in enumerate(ds.schema):
+    for col in ds.schema:
+        if col.kind == "categorical" and col.name not in widths:
+            raise EncodingError(f"table has no entry for column {col.name!r}")
+        width = widths[col.name] if col.kind == "categorical" else 1
+        spans.append((start, start + width))
+        start += width
+    matrix = np.zeros((rows.size, start))
+    for m, (col, (lo, hi)) in enumerate(zip(ds.schema, spans)):
         if col.kind == "categorical":
-            if col.name not in widths:
-                raise EncodingError(f"table has no entry for column {col.name!r}")
             cells = ds.rows[rows, m].astype(np.int64)
             if cells.size and (cells.min() < 0 or cells.max() >= col.cardinality):
                 raise EncodingError(f"column {col.name!r}: category index out of domain")
-            part = tables.column_block(col.name, cells)
+            tables.write_block(col.name, cells, matrix[:, lo:hi])
         else:
-            part = ds.rows[rows, m][:, None]
-        parts.append(part)
-        blocks[col.name] = (start, start + part.shape[1])
-        start += part.shape[1]
-    matrix = np.concatenate(parts, axis=1) if parts else np.empty((rows.size, 0))
+            matrix[:, lo] = ds.rows[rows, m]
+    blocks = {col.name: span for col, span in zip(ds.schema, spans)}
     return EncodedMatrix(matrix, blocks)
-
-
-_TABLE_VERSION = 1
-
-
-def table_to_json(table) -> str:
-    """Serialize a count table; exact round trip since counts are integers."""
-    if isinstance(table, CprTable):
-        payload = {
-            "version": _TABLE_VERSION,
-            "kind": "cpr",
-            "num_classes": table.num_classes,
-            "laplace_alpha": table.laplace_alpha,
-            "columns": {k: v.tolist() for k, v in table.counts.items()},
-        }
-    elif isinstance(table, TargetEncodingTable):
-        payload = {
-            "version": _TABLE_VERSION,
-            "kind": "target",
-            "num_classes": table.num_classes,
-            "smoothing": table.smoothing,
-            "scalar": table.scalar,
-            "global_prior": table.global_prior.tolist(),
-            "columns": {k: v.tolist() for k, v in table.class_counts.items()},
-        }
-    else:
-        raise EncodingError(f"cannot serialize {type(table).__name__}")
-    return json.dumps(payload)
-
-
-def table_from_json(text: str):
-    payload = json.loads(text)
-    if payload.get("version") != _TABLE_VERSION:
-        raise EncodingError(f"unsupported table version {payload.get('version')}")
-    columns = {k: np.asarray(v, dtype=np.int64) for k, v in payload["columns"].items()}
-    if payload["kind"] == "cpr":
-        return CprTable(columns, payload["num_classes"], payload["laplace_alpha"])
-    if payload["kind"] == "target":
-        return TargetEncodingTable(
-            columns,
-            np.asarray(payload["global_prior"]),
-            payload["smoothing"],
-            payload["num_classes"],
-            payload["scalar"],
-        )
-    raise EncodingError(f"unknown table kind {payload['kind']!r}")

@@ -93,9 +93,6 @@ class ModelGraph:
     def output_dim(self) -> int:
         return self.layers[-1].weight.shape[1]
 
-    def parameter_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
-
     def copy(self) -> "ModelGraph":
         return ModelGraph(
             [DenseLayer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers],
@@ -142,28 +139,6 @@ class Forward:
     @property
     def output(self) -> np.ndarray:
         return self.acts[-1]
-
-
-@dataclass
-class Batch:
-    """Inputs plus optional targets and per-loss payloads (masks, pairs)."""
-
-    inputs: np.ndarray
-    targets: np.ndarray | None = None
-    aux: dict | None = None
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim != 2:
-            raise NnError("batch inputs must be (B, d)")
-        if self.targets is not None:
-            self.targets = np.asarray(self.targets)
-            if self.targets.shape[0] != self.inputs.shape[0]:
-                raise NnError("targets must share the batch dimension")
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
 
 
 @dataclass
@@ -502,37 +477,3 @@ def gradcheck_cases(batch: int = 6, dim: int = 5):
 
     cases.append(("supcon", sup_model, sup_fn))
     return cases
-
-
-# --------------------------------------------------------------------------
-# Checkpoints
-# --------------------------------------------------------------------------
-
-_CKPT_VERSION = 1
-
-
-def save_checkpoint(model: ModelGraph, path) -> None:
-    arrays = {"version": np.int64(_CKPT_VERSION), "n_layers": np.int64(len(model.layers)),
-              "seed": np.int64(model.seed)}
-    acts = []
-    for i, layer in enumerate(model.layers):
-        arrays[f"w{i}"] = layer.weight
-        arrays[f"b{i}"] = layer.bias
-        acts.append(layer.activation)
-    arrays["activations"] = np.array(acts)
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path, expect_dims: tuple[int, int] | None = None) -> ModelGraph:
-    with np.load(path) as z:
-        if int(z["version"]) != _CKPT_VERSION:
-            raise NnError(f"unsupported checkpoint version {int(z['version'])}")
-        n = int(z["n_layers"])
-        acts = [str(a) for a in z["activations"]]
-        layers = [DenseLayer(z[f"w{i}"], z[f"b{i}"], acts[i]) for i in range(n)]
-        model = ModelGraph(layers, int(z["seed"]))
-    if expect_dims is not None and (model.input_dim, model.output_dim) != expect_dims:
-        raise NnError(
-            f"checkpoint dims {(model.input_dim, model.output_dim)} != expected {expect_dims}"
-        )
-    return model

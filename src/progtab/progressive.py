@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, cmixup, encoding, vime
 from .data import DataSplit, TabularDataset, apply_scaler, fit_scaler
-from .encoding import CprTable, TargetEncodingTable, encode, fit_cpr, fit_target_encoding
+from .encoding import CountTable, encode, fit_cpr, fit_target_encoding
 from .nn import ModelGraph
 from .vime import CorruptionSpec, VimeModel, build_vime_model, derive_seed
 
@@ -218,19 +218,17 @@ def update_representation(
     labeled_idx: np.ndarray,
     labeled_labels: np.ndarray,
 ):
-    """Rebuild the table from scratch on D_L plus the kept pseudo-labels.
+    """Rebuild the table's counts from scratch on D_L plus the kept
+    pseudo-labels; its read rule is kept.
 
     Equivalent to updating the labeled-only table with the kept counts; the
     rebuild keeps every run a pure function of the latest pseudo-labels.
     """
     rows = np.concatenate([np.asarray(labeled_idx, dtype=np.int64), kept.kept_rows()])
     labels = np.concatenate([np.asarray(labeled_labels, dtype=np.int64), kept.kept_labels()])
-    if isinstance(base, CprTable):
-        return fit_cpr(ds, rows, labels, alpha=base.laplace_alpha)
-    if isinstance(base, TargetEncodingTable):
-        return fit_target_encoding(ds, rows, labels, smoothing=base.smoothing,
-                                   scalar=base.scalar)
-    return base  # one-hot / label encodings carry no label statistics
+    if not isinstance(base, CountTable):
+        return base  # one-hot / label encodings carry no label statistics
+    return replace(base, counts=fit_cpr(ds, rows, labels).counts)
 
 
 @dataclass

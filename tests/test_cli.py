@@ -5,18 +5,14 @@ import numpy as np
 import pytest
 
 from progtab.cli import (
-    ABLATION_COMPONENTS,
-    ABLATION_MODES,
     SYNTHETIC_PRESETS,
     ablation_methods,
     emit_ratio_sweep,
     main,
     method_presets,
     parse_experiment_config,
-    pivot_ablation_results,
     render_table,
     run_experiment,
-    validate_config,
 )
 from progtab.data import load_csv
 from progtab.progressive import ExperimentReport
@@ -77,23 +73,23 @@ class TestValidate:
     def test_vime_two_step_invalid(self, tmp_path):
         cfg = self.base(tmp_path, [
             {"preset": "vime_semi", "overrides": {"refinement_mode": "two_step_agreement"}}])
-        problems = validate_config(cfg)
+        problems = cfg.validate()
         assert any("two_step" in p for p in problems)
 
     def test_cmixup_propagation_without_classifier_valid(self, tmp_path):
         cfg = self.base(tmp_path, [{"preset": "progressive_cmixup_refine"}])
-        assert validate_config(cfg) == []
+        assert cfg.validate() == []
 
     def test_empty_seeds_invalid(self, tmp_path):
         payload = tiny_payload(tmp_path, [{"preset": "supervised"}], seeds=())
         cfg = parse_experiment_config(payload)
-        assert any("seeds" in p for p in validate_config(cfg))
+        assert any("seeds" in p for p in cfg.validate())
 
     def test_classifier_threshold_needs_classifier_flag(self, tmp_path):
         cfg = self.base(tmp_path, [
             {"preset": "cmixup",
              "overrides": {"refinement_mode": "classifier_threshold"}}])
-        assert any("classifier" in p for p in validate_config(cfg))
+        assert any("classifier" in p for p in cfg.validate())
 
 
 class TestRunExperiment:
@@ -149,14 +145,6 @@ class TestAblationMatrix:
         assert len(names) == 18
         for m in methods:
             assert m.validate() == []
-
-    def test_pivot(self):
-        methods = ablation_methods()
-        summary = {m.name: {"mean": 0.5, "std": 0.0} for m in methods}
-        grid = pivot_ablation_results(summary)
-        assert len(grid) == len(ABLATION_COMPONENTS)
-        for flags, row in grid.items():
-            assert set(row) == set(ABLATION_MODES)
 
 
 class TestRatioSweep:

@@ -11,10 +11,8 @@ from progtab.data import (
     TabularDataset,
     apply_scaler,
     fit_scaler,
-    load_cache,
     load_csv,
     make_split,
-    save_cache,
     synthesize_dataset,
 )
 
@@ -255,18 +253,6 @@ class TestSynthesize:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(DataError):
             SyntheticSpec(100, 1, 2, 0, 4, 1.0, 0)  # cardinality < n_classes
-
-
-class TestCache:
-    def test_round_trip_exact(self, tmp_path):
-        ds = synthesize_dataset(SyntheticSpec(100, 2, 8, 2, 3, 1.3, 5))
-        path = tmp_path / "cache.npz"
-        save_cache(ds, path)
-        back = load_cache(path)
-        assert back.schema == ds.schema
-        assert np.array_equal(back.rows, ds.rows)
-        assert np.array_equal(back.labels, ds.labels)
-        assert back.num_classes == ds.num_classes
 
 
 class TestDropColumns:

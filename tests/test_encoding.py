@@ -5,16 +5,13 @@ from hypothesis import strategies as st
 
 from progtab.data import ColumnSchema, SyntheticSpec, TabularDataset, synthesize_dataset
 from progtab.encoding import (
-    CprTable,
+    CountTable,
     EncodingError,
-    block_width,
     encode,
     fit_cpr,
     fit_target_encoding,
     label_encoding,
     one_hot_encoding,
-    table_from_json,
-    table_to_json,
     update_counts,
 )
 
@@ -70,13 +67,13 @@ class TestFitCpr:
         ds = cat_dataset([0, 3, 1, 2], 2)
         t = fit_cpr(ds, np.array([0]), np.array([1]))
         assert t.counts["c"].shape == (4, 2)
-        assert t.totals("c").tolist() == [1, 0, 0, 0]
+        assert t.counts["c"].sum(axis=1).tolist() == [1, 0, 0, 0]
 
 
 class TestUpdateCounts:
     def test_increment_formula(self):
         ds = cat_dataset([0, 0, 0], 2)
-        base = CprTable({"c": np.array([[1, 1]])}, 2, laplace_alpha=0.0)
+        base = CountTable({"c": np.array([[1, 1]])}, 2, laplace_alpha=0.0)
         t = update_counts(base, ds, np.array([0]), np.array([0]))
         assert t.counts["c"].tolist() == [[2, 1]]
         assert np.allclose(t.probabilities("c")[0], [2 / 3, 1 / 3])
@@ -121,7 +118,7 @@ class TestUpdateCounts:
 class TestEncode:
     def test_zero_total_alpha_zero_uniform_fallback(self):
         ds = cat_dataset([0, 1], 4)
-        t = CprTable({"c": np.zeros((2, 4), dtype=np.int64)}, 4, laplace_alpha=0.0)
+        t = CountTable({"c": np.zeros((2, 4), dtype=np.int64)}, 4, laplace_alpha=0.0)
         em = encode(ds, np.arange(2), t)
         assert np.allclose(em.matrix, 0.25)
 
@@ -160,22 +157,87 @@ class TestEncode:
         w_big = encode(big, np.arange(200), fit_cpr(big, np.arange(200), lab_big)).width
         assert w_small == w_big == 4
 
+    @pytest.mark.parametrize("kind", ["cpr", "target", "onehot", "label"])
+    def test_blocks_follow_schema_order(self, kind):
+        # numeric and categorical columns interleave, so a block written at
+        # the wrong offset lands on another column's values
+        rng = np.random.default_rng(7)
+        n, num_classes = 60, 3
+        schema = (
+            ColumnSchema("a", "numerical"),
+            ColumnSchema("c1", "categorical", 5, tuple("vwxyz")),
+            ColumnSchema("b", "numerical"),
+            ColumnSchema("c2", "categorical", 4, tuple("pqrs")),
+        )
+        cells = {"c1": rng.integers(0, 5, n), "c2": rng.integers(0, 4, n)}
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        ds = TabularDataset(schema, np.column_stack([a, cells["c1"], b, cells["c2"]]),
+                            rng.integers(0, num_classes, n), num_classes)
+        fit_rows, rows = np.arange(40), rng.permutation(n)[:25]
+        y = ds.labels[fit_rows]
+        counts = {name: np.zeros((k, num_classes)) for name, k in (("c1", 5), ("c2", 4))}
+        for name, c in counts.items():
+            for v, label in zip(cells[name][fit_rows], y):
+                c[v, label] += 1
+        prior = np.bincount(y, minlength=num_classes) / y.size
+
+        def block(name):
+            c, v = counts[name], cells[name][rows]
+            total = c.sum(axis=1, keepdims=True)
+            if kind == "cpr":
+                return ((c + 1.0) / (total + num_classes))[v]
+            if kind == "target":
+                estimate = c / np.maximum(total, 1)
+                return (total / (total + 2.0) * estimate + 2.0 / (total + 2.0) * prior)[v]
+            if kind == "onehot":
+                return np.eye(c.shape[0])[v]
+            return v[:, None].astype(float)
+
+        table = {"cpr": lambda: fit_cpr(ds, fit_rows, y, alpha=1.0),
+                 "target": lambda: fit_target_encoding(ds, fit_rows, y, smoothing=2.0),
+                 "onehot": lambda: one_hot_encoding(ds),
+                 "label": lambda: label_encoding(ds)}[kind]()
+        em = encode(ds, rows, table)
+        expected = np.hstack([a[rows, None], block("c1"), b[rows, None], block("c2")])
+        assert em.matrix.shape == expected.shape
+        assert np.allclose(em.matrix, expected, rtol=0.0, atol=1e-12)
+        w1, w2 = block("c1").shape[1], block("c2").shape[1]
+        assert em.blocks == {"a": (0, 1), "c1": (1, 1 + w1), "b": (1 + w1, 2 + w1),
+                             "c2": (2 + w1, 2 + w1 + w2)}
+        if kind == "onehot":
+            for name in ("c1", "c2"):
+                lo, hi = em.blocks[name]
+                part = em.matrix[:, lo:hi]
+                assert np.isin(part, (0.0, 1.0)).all()
+                assert (part.sum(axis=1) == 1.0).all()
+
 
 class TestTargetEncoding:
     def test_count_zero_gives_prior(self):
         ds = cat_dataset([0, 0, 1], 2)
         t = fit_target_encoding(ds, np.array([0, 1]), np.array([0, 1]), smoothing=5.0)
-        em = encode(ds, np.array([2]), t)  # value 1 never fit? fit rows use value 0 only
-        prior = t.global_prior
-        assert np.allclose(em.matrix[0], prior)
+        em = encode(ds, np.array([2]), t)  # value 1 is never fit: fit rows use value 0 only
+        assert np.array_equal(em.matrix[0], np.bincount([0, 1], minlength=2) / 2)
+        # several columns, each with unseen values: every column's prior is
+        # the share of each class among the fit rows
+        ds = synthesize_dataset(SyntheticSpec(400, 3, 60, 0, 4, 1.0, 13))
+        rows = np.random.default_rng(1).permutation(ds.n_rows)[:90]
+        labels = ds.labels[rows]
+        t = fit_target_encoding(ds, rows, labels, smoothing=4.0)
+        share = np.bincount(labels, minlength=4) / labels.size
+        for name, counts in t.counts.items():
+            unseen = counts.sum(axis=1) == 0
+            assert unseen.any()
+            assert np.array_equal(t.probabilities(name)[unseen],
+                                  np.tile(share, (unseen.sum(), 1)))
 
     def test_count_equals_smoothing_midpoint(self):
         # 2 observations of value 0 (both class 0), smoothing 2 -> midpoint
-        ds = cat_dataset([0, 0], 2)
-        t = fit_target_encoding(ds, np.arange(2), np.array([0, 0]), smoothing=2.0)
+        ds = cat_dataset([0, 0, 1], 2)
+        t = fit_target_encoding(ds, np.arange(3), np.array([0, 0, 1]), smoothing=2.0)
         estimate = np.array([1.0, 0.0])
-        expected = 0.5 * estimate + 0.5 * t.global_prior
-        assert np.allclose(t.column_block("c", np.array([0]))[0], expected)
+        prior = np.array([2 / 3, 1 / 3])
+        assert np.allclose(t.probabilities("c")[0], 0.5 * estimate + 0.5 * prior)
 
     def test_large_count_approaches_estimate(self):
         n = 100000
@@ -183,30 +245,15 @@ class TestTargetEncoding:
         labels = (np.arange(n) % 4 == 0).astype(int)  # 25% class 1
         ds = cat_dataset(cells, 2)
         t = fit_target_encoding(ds, np.arange(n), labels, smoothing=10.0)
-        enc = t.column_block("c", np.array([0]))[0]
+        enc = t.probabilities("c")[0]
         assert np.allclose(enc, [0.75, 0.25], atol=1e-3)
-
-    def test_scalar_variant(self):
-        ds = cat_dataset([0, 0], 3)
-        t = fit_target_encoding(ds, np.arange(2), np.array([2, 2]), smoothing=1e-9, scalar=True)
-        enc = t.column_block("c", np.array([0]))
-        assert enc.shape == (1, 1)
-        assert enc[0, 0] == pytest.approx(2.0)
 
     def test_convex_combination_property(self):
         ds = synthesize_dataset(SyntheticSpec(300, 1, 9, 0, 3, 1.0, 2))
         t = fit_target_encoding(ds, np.arange(300), ds.labels, smoothing=7.0)
-        enc = t.column_block("cat0", np.arange(9))
+        enc = t.probabilities("cat0")
         assert np.all(enc >= 0)
         assert np.allclose(enc.sum(axis=1), 1.0)
-
-
-class TestBlockWidth:
-    def test_high_cardinality_widths(self):
-        assert block_width("cpr", 4, 163365) == 4
-        assert block_width("target", 4, 163365) == 4
-        assert block_width("onehot", 4, 163365) == 163365
-        assert block_width("label", 4, 163365) == 1
 
 
 class TestInvariants:
@@ -224,7 +271,7 @@ class TestInvariants:
         labels = rng.integers(0, c, size=n)
         t = fit_cpr(ds, np.arange(n), labels, alpha=alpha)
         p = t.probabilities("c")
-        totals = t.totals("c")
+        totals = t.counts["c"].sum(axis=1)
         live = (totals + c * alpha) > 0
         assert np.all(np.abs(p[live].sum(axis=1) - 1.0) < 1e-12)
         # the zero-information fallback is also a distribution
@@ -250,22 +297,3 @@ class TestInvariants:
         for name, cnt in expected.items():
             assert np.array_equal(t.counts[name], cnt)
 
-
-class TestSerialization:
-    def test_cpr_round_trip(self):
-        ds = synthesize_dataset(SyntheticSpec(100, 2, 6, 0, 3, 1.0, 1))
-        t = fit_cpr(ds, np.arange(100), ds.labels, alpha=0.5)
-        back = table_from_json(table_to_json(t))
-        assert back.num_classes == t.num_classes
-        assert back.laplace_alpha == t.laplace_alpha
-        for name in t.counts:
-            assert np.array_equal(back.counts[name], t.counts[name])
-
-    def test_target_round_trip(self):
-        ds = synthesize_dataset(SyntheticSpec(100, 1, 6, 0, 3, 1.0, 1))
-        t = fit_target_encoding(ds, np.arange(100), ds.labels, smoothing=3.0)
-        back = table_from_json(table_to_json(t))
-        assert back.smoothing == t.smoothing
-        assert np.array_equal(back.global_prior, t.global_prior)
-        for name in t.class_counts:
-            assert np.array_equal(back.class_counts[name], t.class_counts[name])

@@ -10,14 +10,12 @@ from progtab.nn import (
     NnError,
     gradcheck,
     l2_normalize_rows,
-    load_checkpoint,
     loss_consistency,
     loss_crossentropy,
     loss_mask_bce,
     loss_reconstruction,
     loss_supcon,
     make_optimizer,
-    save_checkpoint,
     seeded_rng,
     step,
 )
@@ -266,39 +264,6 @@ class TestSeededRng:
         assert a1 == a2
         assert b1 == b2
         assert a1 != b1
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        model = ModelGraph.mlp(4, (6,), 3, "softmax", seed=2)
-        p = tmp_path / "model.npz"
-        save_checkpoint(model, p)
-        back = load_checkpoint(p)
-        for la, lb in zip(model.layers, back.layers):
-            assert np.array_equal(la.weight, lb.weight)
-            assert np.array_equal(la.bias, lb.bias)
-            assert la.activation == lb.activation
-
-    def test_shape_check(self, tmp_path):
-        model = ModelGraph.mlp(4, (6,), 3, "softmax", seed=2)
-        p = tmp_path / "model.npz"
-        save_checkpoint(model, p)
-        with pytest.raises(NnError):
-            load_checkpoint(p, expect_dims=(5, 3))
-
-
-class TestBatch:
-    def test_valid_batch(self):
-        from progtab.nn import Batch
-
-        b = Batch(np.zeros((4, 3)), np.arange(4))
-        assert b.size == 4
-
-    def test_mismatched_targets_rejected(self):
-        from progtab.nn import Batch
-
-        with pytest.raises(NnError):
-            Batch(np.zeros((4, 3)), np.arange(5))
 
 
 class TestSupconNonNegative:

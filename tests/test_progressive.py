@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progtab.data import ColumnSchema, SplitSpec, SyntheticSpec, TabularDataset, make_split, synthesize_dataset
-from progtab.encoding import encode, fit_cpr, update_counts
+from progtab.encoding import encode, fit_cpr, fit_target_encoding, update_counts
 from progtab.progressive import (
     DEFAULT_SEEDS,
     ConfigError,
@@ -146,12 +146,30 @@ class TestUpdateRepresentation:
         for name in rebuilt.counts:
             assert np.array_equal(rebuilt.counts[name], incremental.counts[name])
 
+    def test_target_table_rebuild_keeps_its_read_rule(self):
+        ds = synthesize_dataset(SyntheticSpec(300, 2, 9, 1, 3, 1.0, 8))
+        split = make_split(ds, SplitSpec(0.8, 0.2, 8))
+        yl = ds.labels[split.labeled_idx]
+        base = fit_target_encoding(ds, split.labeled_idx, yl, smoothing=3.0)
+        rng = np.random.default_rng(2)
+        pseudo = rng.integers(0, 3, size=split.unlabeled_idx.size)
+        kept = PseudoLabelSet(split.unlabeled_idx, pseudo,
+                              kept=rng.random(pseudo.size) < 0.5)
+        rebuilt = update_representation(ds, base, kept, split.labeled_idx, yl)
+        direct = fit_target_encoding(
+            ds, np.concatenate([split.labeled_idx, kept.kept_rows()]),
+            np.concatenate([yl, kept.kept_labels()]), smoothing=3.0)
+        assert rebuilt.smoothing == 3.0
+        for name in direct.counts:
+            assert np.array_equal(rebuilt.counts[name], direct.counts[name])
+            assert np.array_equal(rebuilt.probabilities(name), direct.probabilities(name))
+
     def test_reencoding_touches_only_changed_blocks(self):
         ds = synthesize_dataset(SyntheticSpec(200, 2, 12, 2, 3, 1.0, 5))
         split = make_split(ds, SplitSpec(0.8, 0.2, 5))
         base = fit_cpr(ds, split.labeled_idx, ds.labels[split.labeled_idx])
         # update with pseudo-labels for rows whose cat0 value is 0 only
-        cat0 = ds.categorical_cells(0)
+        cat0 = ds.rows[:, 0].astype(np.int64)
         rows = split.unlabeled_idx[cat0[split.unlabeled_idx] == 0][:3]
         kept = PseudoLabelSet(rows, np.zeros(rows.size, dtype=int))
         updated = update_representation(ds, base, kept, split.labeled_idx,
@@ -166,13 +184,13 @@ class TestUpdateRepresentation:
         # cat1 was never part of the update rows' changes? it was: those rows
         # have cat1 values too. Only rows whose cat0 value != 0 AND whose cat1
         # value was untouched keep identical blocks.
-        touched_cat1 = set(ds.categorical_cells(1)[rows].tolist())
+        cat1 = ds.rows[:, 1].astype(np.int64)
+        touched_cat1 = set(cat1[rows].tolist())
         s, e = em_a.blocks["cat0"]
         untouched_rows = cat0 != 0
         assert np.array_equal(em_a.matrix[untouched_rows, s:e],
                               em_b.matrix[untouched_rows, s:e])
         s, e = em_a.blocks["cat1"]
-        cat1 = ds.categorical_cells(1)
         safe = ~np.isin(cat1, list(touched_cat1))
         assert np.array_equal(em_a.matrix[safe, s:e], em_b.matrix[safe, s:e])
 
