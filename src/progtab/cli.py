@@ -134,6 +134,11 @@ class ExperimentConfig:
                 problems.append(f"unknown synthetic preset {preset!r}")
             if preset is None and "spec" not in self.dataset:
                 problems.append("synthetic dataset needs a preset or a spec")
+            elif preset is None:
+                try:
+                    _synthetic_spec(self.dataset["spec"])
+                except ConfigError as exc:
+                    problems.append(str(exc))
         elif kind == "csv":
             if "path" not in self.dataset:
                 problems.append("csv dataset needs a path")
@@ -184,13 +189,21 @@ def parse_experiment_config(payload: dict, default_out: str | None = None) -> Ex
     return ExperimentConfig(dict(payload.get("dataset", {})), split, methods, seeds, out)
 
 
+def _synthetic_spec(fields) -> SyntheticSpec:
+    """A SyntheticSpec from JSON fields; a wrong field set is a config error."""
+    try:
+        return SyntheticSpec(**fields)
+    except (TypeError, DataError) as exc:
+        raise ConfigError(f"synthetic spec: {exc}") from None
+
+
 def load_dataset(dataset_cfg: dict) -> TabularDataset:
     kind = dataset_cfg.get("kind")
     if kind == "synthetic":
         if "preset" in dataset_cfg and dataset_cfg["preset"] is not None:
             spec = SYNTHETIC_PRESETS[dataset_cfg["preset"]]
         else:
-            spec = SyntheticSpec(**dataset_cfg["spec"])
+            spec = _synthetic_spec(dataset_cfg["spec"])
         return synthesize_dataset(spec)
     if kind == "csv":
         return load_csv(
@@ -351,6 +364,13 @@ def emit_ratio_sweep(config: ExperimentConfig, ratios: list[float]):
 # Command line entry points
 # --------------------------------------------------------------------------
 
+def _number_list(text: str, kind, flag: str) -> list:
+    try:
+        return [kind(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _load_config_file(path: str, args) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -361,7 +381,7 @@ def _load_config_file(path: str, args) -> ExperimentConfig:
     if args.out:
         cfg.output_dir = args.out
     if args.seeds:
-        cfg.seeds = [int(s) for s in args.seeds.split(",")]
+        cfg.seeds = _number_list(args.seeds, int, "--seeds")
     return cfg
 
 
@@ -400,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.verb == "sweep-ratio":
             config = _load_config_file(args.config, args)
-            ratios = [float(r) for r in args.ratios.split(",")]
+            ratios = _number_list(args.ratios, float, "--ratios")
             emit_ratio_sweep(config, ratios)
             return 0
         if args.verb == "validate":
@@ -414,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.verb == "synth":
             if args.spec:
-                spec = SyntheticSpec(**json.loads(args.spec))
+                spec = _synthetic_spec(json.loads(args.spec))
             elif args.preset:
                 spec = SYNTHETIC_PRESETS[args.preset]
             else:

@@ -28,13 +28,10 @@ class PropagationError(RuntimeError):
 @dataclass(frozen=True)
 class MixupSpec:
     beta_alpha: float = 0.2  # lambda ~ Beta(a, a)
-    pairs_per_anchor: int = 1
 
     def __post_init__(self):
         if self.beta_alpha <= 0:
             raise ValueError("beta_alpha must be > 0")
-        if self.pairs_per_anchor < 1:
-            raise ValueError("pairs_per_anchor must be >= 1")
 
 
 @dataclass
@@ -115,8 +112,8 @@ def latent_mixup(
     rng: np.random.Generator,
 ) -> MixupBatch:
     """Same-label pairs: each anchor with >= 2 members of its label draws
-    pairs_per_anchor partners; anchors without a same-label partner are
-    silently skipped (counted)."""
+    one partner; anchors without a same-label partner are silently skipped
+    (counted)."""
     labels = np.asarray(labels, dtype=np.int64)
     n = latents.shape[0]
     members: dict[int, np.ndarray] = {}
@@ -129,12 +126,11 @@ def latent_mixup(
         if group.size < 2:
             n_skipped += 1
             continue
-        for _ in range(spec.pairs_per_anchor):
-            j = i
-            while j == i:
-                j = int(group[rng.integers(0, group.size)])
-            anchors.append(i)
-            partners.append(j)
+        j = i
+        while j == i:
+            j = int(group[rng.integers(0, group.size)])
+        anchors.append(i)
+        partners.append(j)
     if not anchors:
         empty = np.empty(0, dtype=np.int64)
         return MixupBatch(np.empty((0, latents.shape[1])), empty, empty, empty,
@@ -284,23 +280,16 @@ def encoder_train(
     alpha_diff: float = 0.99,
     batch_size: int = 256,
     learning_rate: float = 1e-3,
-    optimizer: str = "adam",
     seed: int = 0,
-    propagation_source: str = "encoder",  # encoder | projection
 ) -> tuple[CmixupModel, PropagationResult, list[dict]]:
     """First training step: reconstruction + same-label mixup contrastive
     + classifier CE, with label propagation refreshing pseudo-labels once per
     epoch after warmup. Before warmup only true-labeled rows feed the
     contrastive and classifier terms.
 
-    Propagation runs on the encoder output by default; propagation_source
-    selects the projection head instead. Returns the trained model, the
+    Propagation runs on the encoder output. Returns the trained model, the
     propagation result on the final latents, and per-epoch mean losses.
     """
-    if propagation_source not in ("encoder", "projection"):
-        raise ValueError(f"unknown propagation source {propagation_source!r}")
-    if propagation_source == "projection" and "projection" not in model.component_flags:
-        raise ValueError("propagation_source='projection' needs the projection head")
     rng_shuffle = seeded_rng(seed, "cm-shuffle")
     rng_mix = seeded_rng(seed, "cm-mixup")
     n_lab, n_unlab = x_lab.shape[0], x_unlab.shape[0]
@@ -312,17 +301,14 @@ def encoder_train(
     y_known[:n_lab] = y_lab
     k_eff = min(knn_k, max(1, n // 2))
 
-    opts = {"encoder": make_optimizer(model.encoder, optimizer, learning_rate)}
+    opts = {"encoder": make_optimizer(model.encoder, learning_rate)}
     for name in ("projection", "decoder", "classifier"):
         head = getattr(model, name)
         if name in model.component_flags:
-            opts[name] = make_optimizer(head, optimizer, learning_rate)
+            opts[name] = make_optimizer(head, learning_rate)
 
     def run_propagation() -> PropagationResult:
-        latents = model.latent(x_all)
-        if propagation_source == "projection":
-            latents = model.projection.forward(latents).output
-        return propagate_labels(latents, np.arange(n_lab), y_lab, num_classes,
+        return propagate_labels(model.latent(x_all), np.arange(n_lab), y_lab, num_classes,
                                 k=k_eff, alpha_diff=alpha_diff)
 
     curve = []

@@ -119,9 +119,6 @@ class ScalerState:
     means: np.ndarray
     stddevs: np.ndarray  # constant columns recorded as 1 so transform maps to 0
 
-    def invert(self, ds: TabularDataset) -> TabularDataset:
-        return apply_scaler(ds, self, invert=True)
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -182,7 +179,6 @@ def _infer_kind(values: list[str]) -> str:
 
 def load_csv(
     path,
-    schema_hint: list[ColumnSchema] | None = None,
     *,
     label_column: str | None = None,
     kind_overrides: dict[str, str] | None = None,
@@ -213,7 +209,6 @@ def load_csv(
     if not raw_rows:
         raise DataError(f"{path}: no data rows")
 
-    hint_by_name = {c.name: c for c in schema_hint or []}
     overrides = dict(kind_overrides or {})
     columns = list(zip(*raw_rows))
 
@@ -248,23 +243,13 @@ def load_csv(
     cells = np.empty((len(raw_rows), len(feature_names)), dtype=np.float64)
     for m, name in enumerate(feature_names):
         col = list(columns[m])
-        if name in hint_by_name:
-            kind = hint_by_name[name].kind
-        else:
-            kind = overrides.get(name) or _infer_kind(col)
+        kind = overrides.get(name) or _infer_kind(col)
         if kind == "categorical":
-            domain: list[str] = []
-            hinted = hint_by_name.get(name)
-            if hinted is not None and hinted.domain is not None:
-                domain = list(hinted.domain)
-            index = {v: i for i, v in enumerate(domain)}
+            index: dict[str, int] = {}  # insertion order is the domain order
             for i, v in enumerate(col):
                 key = MISSING_CATEGORY if v == "" else v
-                if key not in index:
-                    index[key] = len(domain)
-                    domain.append(key)
-                cells[i, m] = index[key]
-            schema.append(ColumnSchema(name, "categorical", len(domain), tuple(domain)))
+                cells[i, m] = index.setdefault(key, len(index))
+            schema.append(ColumnSchema(name, "categorical", len(index), tuple(index)))
         else:
             vals = np.full(len(col), np.nan)
             for i, v in enumerate(col):
@@ -311,18 +296,15 @@ def fit_scaler(ds: TabularDataset, rows: np.ndarray) -> ScalerState:
     return ScalerState(cols, means, stds)
 
 
-def apply_scaler(ds: TabularDataset, scaler: ScalerState, invert: bool = False) -> TabularDataset:
-    """Replace numeric cells by (x - mean)/stddev (or the inverse map)."""
+def apply_scaler(ds: TabularDataset, scaler: ScalerState) -> TabularDataset:
+    """Replace numeric cells by (x - mean)/stddev."""
     for m in scaler.columns:
         if m >= ds.n_cols or ds.schema[m].kind == "categorical":
             raise DataError("scaler does not match dataset schema")
     rows = ds.rows.copy()
     cols = np.array(scaler.columns, dtype=np.int64)
     if cols.size:
-        if invert:
-            rows[:, cols] = rows[:, cols] * scaler.stddevs + scaler.means
-        else:
-            rows[:, cols] = (rows[:, cols] - scaler.means) / scaler.stddevs
+        rows[:, cols] = (rows[:, cols] - scaler.means) / scaler.stddevs
     return replace(ds, rows=rows)
 
 

@@ -1,7 +1,7 @@
 """Minimal deterministic neural-network core.
 
 Dense layers with {relu, identity, softmax, sigmoid} activations, exact
-reverse-mode gradients, SGD/Adam, and a central-finite-difference gradient
+reverse-mode gradients, Adam, and a central-finite-difference gradient
 checker. Every loss returns (value, gradient w.r.t. its input) so training
 loops can compose heads and chain gradients through shared encoders.
 
@@ -311,53 +311,45 @@ def loss_supcon(
 
 
 # --------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 # --------------------------------------------------------------------------
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
-    kind: str  # sgd | adam
+    """Adam moments for one model."""
+
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    m: Gradients
+    v: Gradients
     step_count: int = 0
-    m: Gradients | None = None
-    v: Gradients | None = None
 
 
-def make_optimizer(model: ModelGraph, kind: str = "adam", learning_rate: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise NnError(f"unknown optimizer {kind!r}")
-    state = OptimizerState(kind, learning_rate, beta1, beta2, eps)
-    if kind == "adam":
-        state.m = Gradients.zeros_like(model)
-        state.v = Gradients.zeros_like(model)
-    return state
+def make_optimizer(model: ModelGraph, learning_rate: float) -> OptimizerState:
+    return OptimizerState(learning_rate, Gradients.zeros_like(model),
+                          Gradients.zeros_like(model))
 
 
 def step(optimizer: OptimizerState, model: ModelGraph, grads: Gradients) -> ModelGraph:
-    """Apply one update in place; returns the model for convenience."""
+    """Apply one Adam update in place; returns the model for convenience."""
     optimizer.step_count += 1
-    if optimizer.kind == "sgd":
-        for layer, gw, gb in zip(model.layers, grads.weights, grads.biases):
-            layer.weight -= optimizer.learning_rate * gw
-            layer.bias -= optimizer.learning_rate * gb
-        return model
     t = optimizer.step_count
-    correct1 = 1.0 - optimizer.beta1**t
-    correct2 = 1.0 - optimizer.beta2**t
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
     for i, layer in enumerate(model.layers):
         for attr, g, m, v in (
             ("weight", grads.weights[i], optimizer.m.weights[i], optimizer.v.weights[i]),
             ("bias", grads.biases[i], optimizer.m.biases[i], optimizer.v.biases[i]),
         ):
-            m *= optimizer.beta1
-            m += (1.0 - optimizer.beta1) * g
-            v *= optimizer.beta2
-            v += (1.0 - optimizer.beta2) * g**2
-            update = optimizer.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + optimizer.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g**2
+            update = optimizer.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
             param = getattr(layer, attr)
             param -= update
     return model

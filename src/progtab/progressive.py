@@ -45,8 +45,6 @@ class RunConfig:
     pipeline: str = "vime"
     n_runs: int | None = None  # None -> 5 for vime, 4 for cmixup
     update_enabled: bool = True
-    accumulate_pseudo_labels: bool = False
-    warm_start: bool = False
     refinement_mode: str = "none"
     classifier_threshold: float = 0.8
     propagation_threshold: float = 0.9
@@ -60,7 +58,6 @@ class RunConfig:
     predictor_hidden: tuple[int, ...] = (256, 128)
     encoder_hidden: tuple[int, ...] = ()
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     batch_size: int = 256
     # vime step hyperparameters (also the second step of cmixup)
     p_mask: float = 0.3
@@ -78,12 +75,10 @@ class RunConfig:
     w_clf: float = 0.5
     supcon_temperature: float = 0.1
     mixup_beta_alpha: float = 0.2
-    mixup_pairs_per_anchor: int = 1
     warmup_epochs: int = 10
     encoder_epochs: int = 20
     knn_k: int = 50
     alpha_diff: float = 0.99
-    propagation_source: str = "encoder"  # encoder | projection
 
     def __post_init__(self):
         if isinstance(self.predictor_hidden, list):
@@ -132,11 +127,6 @@ class RunConfig:
                 problems.append(f"unknown component flags {sorted(unknown)}")
             if not self.component_flags:
                 problems.append("cmixup needs at least one component flag")
-            if self.propagation_source not in ("encoder", "projection"):
-                problems.append(f"unknown propagation source {self.propagation_source!r}")
-            elif (self.propagation_source == "projection"
-                  and "projection" not in self.component_flags):
-                problems.append("propagation_source='projection' needs the projection flag")
         if not 0.0 <= self.p_mask <= 1.0:
             problems.append("p_mask must lie in [0, 1]")
         return problems
@@ -276,32 +266,29 @@ def _curve_to_json(curve: list[dict]) -> dict:
 
 
 def _train_vime_run(x, y, num_classes: int, split: DataSplit, config: RunConfig,
-                    seed: int, prev_model: VimeModel | None):
+                    seed: int):
     xl, yl = x[split.labeled_idx], y[split.labeled_idx]
     xu = x[split.unlabeled_idx]
     curves = {}
-    if prev_model is not None:
-        model = prev_model
-    else:
-        model = build_vime_model(
-            x.shape[1], num_classes, latent_dim=config.latent_dim,
-            predictor_hidden=config.predictor_hidden,
-            encoder_hidden=config.encoder_hidden, seed=seed,
-            with_encoder=config.pretext_enabled,
-        )
+    model = build_vime_model(
+        x.shape[1], num_classes, latent_dim=config.latent_dim,
+        predictor_hidden=config.predictor_hidden,
+        encoder_hidden=config.encoder_hidden, seed=seed,
+        with_encoder=config.pretext_enabled,
+    )
     spec = CorruptionSpec(config.p_mask, seed=seed)
-    if config.pretext_enabled and prev_model is None:
+    if config.pretext_enabled:
         _, pre_curve = vime.pretext_train(
             model, xu, spec, alpha_mask=config.alpha_mask,
             epochs=config.pretext_epochs, batch_size=config.batch_size,
-            learning_rate=config.learning_rate, optimizer=config.optimizer,
+            learning_rate=config.learning_rate,
         )
         curves["pretext"] = _curve_to_json(pre_curve)
     _, semi_curve = vime.semisup_train(
         model, xl, yl, xu, spec, beta=config.beta_consistency,
         k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
         batch_size=config.batch_size, learning_rate=config.learning_rate,
-        optimizer=config.optimizer, fine_tune_encoder=config.fine_tune_encoder,
+        fine_tune_encoder=config.fine_tune_encoder,
     )
     curves["semisup"] = _curve_to_json(semi_curve)
     pl_labels, pl_conf = vime.predict(model, xu)
@@ -311,27 +298,25 @@ def _train_vime_run(x, y, num_classes: int, split: DataSplit, config: RunConfig,
 
 
 def _train_cmixup_run(x, y, num_classes: int, split: DataSplit, config: RunConfig,
-                      seed: int, prev_model):
+                      seed: int):
+    """Returns the step-2 model (the trained encoder plus a predictor), the
+    pseudo-labels and the loss curves."""
     xl, yl = x[split.labeled_idx], y[split.labeled_idx]
     xu = x[split.unlabeled_idx]
     curves = {}
-    if prev_model is not None:
-        cm = prev_model[0]  # (cmixup model, step-2 predictor) from the last run
-    else:
-        cm = cmixup.build_cmixup_model(
-            x.shape[1], num_classes, latent_dim=config.latent_dim,
-            projection_dim=config.projection_dim, flags=config.component_flags,
-            encoder_hidden=config.encoder_hidden, seed=seed,
-        )
+    cm = cmixup.build_cmixup_model(
+        x.shape[1], num_classes, latent_dim=config.latent_dim,
+        projection_dim=config.projection_dim, flags=config.component_flags,
+        encoder_hidden=config.encoder_hidden, seed=seed,
+    )
     cm, prop, enc_curve = cmixup.encoder_train(
         cm, xl, yl, xu, num_classes,
-        mixup=cmixup.MixupSpec(config.mixup_beta_alpha, config.mixup_pairs_per_anchor),
+        mixup=cmixup.MixupSpec(config.mixup_beta_alpha),
         w_recon=config.w_recon, w_supcon=config.w_supcon, w_clf=config.w_clf,
         temperature=config.supcon_temperature, warmup_epochs=config.warmup_epochs,
         epochs=config.encoder_epochs, knn_k=config.knn_k,
         alpha_diff=config.alpha_diff, batch_size=config.batch_size,
-        learning_rate=config.learning_rate, optimizer=config.optimizer, seed=seed,
-        propagation_source=config.propagation_source,
+        learning_rate=config.learning_rate, seed=seed,
     )
     curves["encoder"] = _curve_to_json(enc_curve)
 
@@ -346,7 +331,7 @@ def _train_cmixup_run(x, y, num_classes: int, split: DataSplit, config: RunConfi
         vm, xl, yl, xu, spec, beta=config.beta_consistency,
         k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
         batch_size=config.batch_size, learning_rate=config.learning_rate,
-        optimizer=config.optimizer, fine_tune_encoder=False,
+        fine_tune_encoder=False,
     )
     curves["semisup"] = _curve_to_json(semi_curve)
 
@@ -360,7 +345,7 @@ def _train_cmixup_run(x, y, num_classes: int, split: DataSplit, config: RunConfi
     pls = PseudoLabelSet(split.unlabeled_idx, prop_labels,
                          classifier_conf=clf_conf, classifier_labels=clf_labels,
                          propagation_weight=prop_weights)
-    return (cm, vm), pls, curves
+    return vm, pls, curves
 
 
 def run_progressive(ds: TabularDataset, split: DataSplit, config: RunConfig) -> ExperimentReport:
@@ -381,23 +366,14 @@ def run_progressive(ds: TabularDataset, split: DataSplit, config: RunConfig) -> 
     base_table = fit_table(dss, split.labeled_idx, labeled_labels, config)
     table = base_table
     all_rows = np.arange(ds.n_rows)
-    accumulated: dict[int, int] = {}
     n_runs = config.resolved_n_runs()
+    train_run = _train_vime_run if config.pipeline == "vime" else _train_cmixup_run
     runs: list[RunMetrics] = []
-    model = None
     for run_i in range(1, n_runs + 1):
         x = encode(dss, all_rows, table).matrix
-        seed = run_seed(config.seed, run_i)
-        prev = model if config.warm_start and run_i > 1 else None
-        if config.pipeline == "vime":
-            model, pls, curves = _train_vime_run(x, y, ds.num_classes, split,
-                                                 config, seed, prev)
-            eval_model = model
-        else:
-            model, pls, curves = _train_cmixup_run(x, y, ds.num_classes, split,
-                                                   config, seed, prev)
-            eval_model = model[1]
-        test_acc = vime.accuracy(eval_model, x[split.test_idx], y[split.test_idx])
+        model, pls, curves = train_run(x, y, ds.num_classes, split, config,
+                                       run_seed(config.seed, run_i))
+        test_acc = vime.accuracy(model, x[split.test_idx], y[split.test_idx])
 
         refined = refine_pseudo_labels(pls, config.refinement_mode,
                                        config.classifier_threshold,
@@ -417,16 +393,7 @@ def run_progressive(ds: TabularDataset, split: DataSplit, config: RunConfig) -> 
         runs.append(RunMetrics(float(test_acc), kept_fraction, precision, n_kept,
                                curves, histogram))
         if config.update_enabled and run_i < n_runs:
-            if config.accumulate_pseudo_labels:
-                for r, lbl in zip(refined.kept_rows(), refined.kept_labels()):
-                    accumulated[int(r)] = int(lbl)
-                pool = PseudoLabelSet(
-                    np.fromiter(accumulated.keys(), dtype=np.int64, count=len(accumulated)),
-                    np.fromiter(accumulated.values(), dtype=np.int64, count=len(accumulated)),
-                )
-            else:
-                pool = replace(refined)
-            table = update_representation(dss, base_table, pool,
+            table = update_representation(dss, base_table, refined,
                                           split.labeled_idx, labeled_labels)
     cfg_dict = {k: list(v) if isinstance(v, tuple) else v
                 for k, v in asdict(config).items()}

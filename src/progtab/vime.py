@@ -5,7 +5,7 @@ uncorrupted features, predict the corruption mask). Step 2 trains a softmax
 predictor on the frozen latent with cross-entropy on labeled rows plus a
 consistency penalty across corrupted copies of unlabeled rows. Corruption
 operates on the encoded matrix, resampling masked entries from the empirical
-column marginal of the batch (or of a supplied pool).
+column marginal of the batch.
 """
 
 from __future__ import annotations
@@ -96,26 +96,21 @@ def corrupt(
     inputs: np.ndarray,
     p_mask: float,
     rng: np.random.Generator,
-    pool: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mask entries i.i.d. with probability p_mask and replace each masked
     entry by the same column's value from a uniformly random other row of the
-    batch (or from ``pool`` when given). Unmasked entries are preserved."""
+    batch. Unmasked entries are preserved."""
     x = np.asarray(inputs)
     b, d = x.shape
     if p_mask == 0.0:
         return x.copy(), np.zeros((b, d))
-    source = x if pool is None else np.asarray(pool)
-    if pool is None and b < 2:
+    if b < 2:
         raise ValueError("corruption needs a batch of at least 2 rows")
     mask = (rng.random((b, d)) < p_mask).astype(np.float64)
     cols = np.broadcast_to(np.arange(d), (b, d))
-    if pool is None:
-        offsets = rng.integers(1, b, size=(b, d))
-        donor_rows = (np.arange(b)[:, None] + offsets) % b
-    else:
-        donor_rows = rng.integers(0, source.shape[0], size=(b, d))
-    donors = source[donor_rows, cols]
+    offsets = rng.integers(1, b, size=(b, d))
+    donor_rows = (np.arange(b)[:, None] + offsets) % b
+    donors = x[donor_rows, cols]
     x_tilde = np.where(mask > 0, donors, x)
     return x_tilde, mask
 
@@ -133,25 +128,23 @@ def pretext_train(
     epochs: int = 10,
     batch_size: int = 256,
     learning_rate: float = 1e-3,
-    optimizer: str = "adam",
-    resample_pool: str = "batch",  # batch | dataset
 ) -> tuple[VimeModel, list[dict]]:
     """Denoising pretext training: reconstruction MSE + alpha_mask * mask BCE.
 
     Returns the trained model and per-epoch mean losses.
     """
-    if x_unlab.shape[0] == 0:
-        raise ValueError("pretext_train: no rows")
+    if min(x_unlab.shape[0], batch_size) < 2:
+        raise ValueError(f"pretext_train: {x_unlab.shape[0]} rows in batches of "
+                         f"{batch_size} leave no batch of at least 2 rows")
     if model.encoder is None:
         raise ValueError("pretext_train: model has no encoder")
     rng_shuffle = seeded_rng(spec.seed, "pretext-shuffle")
     rng_corrupt = seeded_rng(spec.seed, "pretext-corrupt")
     opts = {
-        "encoder": make_optimizer(model.encoder, optimizer, learning_rate),
-        "feature": make_optimizer(model.feature_decoder, optimizer, learning_rate),
-        "mask": make_optimizer(model.mask_decoder, optimizer, learning_rate),
+        "encoder": make_optimizer(model.encoder, learning_rate),
+        "feature": make_optimizer(model.feature_decoder, learning_rate),
+        "mask": make_optimizer(model.mask_decoder, learning_rate),
     }
-    pool = x_unlab if resample_pool == "dataset" else None
     curve = []
     n = x_unlab.shape[0]
     for epoch in range(epochs):
@@ -160,9 +153,9 @@ def pretext_train(
         n_batches = 0
         for sl in _batch_slices(n, batch_size):
             x = x_unlab[order[sl]]
-            if x.shape[0] < 2 and pool is None:
+            if x.shape[0] < 2:
                 continue
-            x_tilde, mask = corrupt(x, spec.p_mask, rng_corrupt, pool=pool)
+            x_tilde, mask = corrupt(x, spec.p_mask, rng_corrupt)
             enc_fwd = model.encoder.forward(x_tilde)
             h = enc_fwd.output
             fd_fwd = model.feature_decoder.forward(h)
@@ -195,7 +188,6 @@ def semisup_train(
     epochs: int = 20,
     batch_size: int = 256,
     learning_rate: float = 1e-3,
-    optimizer: str = "adam",
     fine_tune_encoder: bool = False,
 ) -> tuple[VimeModel, list[dict]]:
     """Predictor training: CE on corrupted labeled batches + beta * consistency
@@ -214,10 +206,10 @@ def semisup_train(
     rng_unlab = seeded_rng(spec.seed, "semisup-unlab")
     rng_corrupt = seeded_rng(spec.seed, "semisup-corrupt")
     use_unlab = beta > 0.0 and k_corruptions >= 2 and x_unlab.shape[0] >= 2
-    opt_pred = make_optimizer(model.predictor, optimizer, learning_rate)
+    opt_pred = make_optimizer(model.predictor, learning_rate)
     opt_enc = None
     if fine_tune_encoder and model.encoder is not None:
-        opt_enc = make_optimizer(model.encoder, optimizer, learning_rate)
+        opt_enc = make_optimizer(model.encoder, learning_rate)
     n_lab = x_lab.shape[0]
     n_unlab = x_unlab.shape[0]
     curve = []

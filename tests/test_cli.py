@@ -53,10 +53,14 @@ class TestConfigParsing:
         assert cfg.methods[0].semisup_epochs == 7
 
     def test_unknown_field_rejected(self, tmp_path):
-        payload = tiny_payload(tmp_path, [
-            {"preset": "supervised", "overrides": {"bogus_field": 1}}])
-        with pytest.raises(Exception, match="bogus_field"):
-            parse_experiment_config(payload)
+        # the last five were RunConfig fields once; old configs must not
+        # silently lose them
+        for field in ("bogus_field", "accumulate_pseudo_labels", "warm_start",
+                      "optimizer", "propagation_source", "mixup_pairs_per_anchor"):
+            payload = tiny_payload(tmp_path, [
+                {"preset": "supervised", "overrides": {field: 1}}])
+            with pytest.raises(Exception, match=field):
+                parse_experiment_config(payload)
 
     def test_env_var_default_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROGTAB_OUT", str(tmp_path / "envout"))
@@ -208,6 +212,10 @@ class TestCliEntry:
         assert ds.n_rows == 50
         assert ds.num_classes == 3
 
+    def test_synth_verb_bad_spec_exits_1(self, tmp_path):
+        spec = json.dumps({"n_rows": 50, "bogus": 1})
+        assert main(["synth", "--spec", spec, "--out", str(tmp_path / "s.csv")]) == 1
+
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
@@ -215,6 +223,34 @@ class TestCliEntry:
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) in (1, 2)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--seeds", "a"],
+        ["run", "--seeds", "1,,2"],
+        ["sweep-ratio", "--ratios", "x"],
+    ])
+    def test_malformed_number_list_exits_1(self, tmp_path, capsys, argv):
+        payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([argv[0], "--config", str(cfg_path), *argv[1:]]) == 1
+        assert f"{argv[1]} takes comma-separated numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda spec: spec.update(bogus=1),
+        lambda spec: spec.pop("n_rows"),
+        lambda spec: spec.update(n_classes=1),
+    ], ids=["unknown-field", "missing-field", "rejected-value"])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_bad_synthetic_spec_exits_1(self, tmp_path, capsys, edit, verb):
+        payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
+        edit(payload["dataset"]["spec"])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert "synthetic spec" in captured.out + captured.err
+        assert "config ok" not in captured.out
 
 
 class TestPresetDatasets:

@@ -66,13 +66,6 @@ class TestLatentMixup:
         assert mix.mixed.shape == (0, 2)
         assert mix.n_skipped == 3
 
-    def test_pairs_per_anchor(self):
-        rng = np.random.default_rng(6)
-        z = rng.normal(size=(6, 2))
-        labels = np.zeros(6, dtype=int)
-        mix = latent_mixup(z, labels, MixupSpec(pairs_per_anchor=3), rng)
-        assert mix.mixed.shape[0] == 18
-
 
 def two_clusters(n=500, sigma=0.1, dim=8, seed=0):
     """Unit-norm centers 60 degrees apart: distance exactly 1.0 = 10 sigma."""
@@ -268,19 +261,3 @@ class TestModelFlags:
     def test_empty_flags_rejected(self):
         with pytest.raises(ValueError):
             build_cmixup_model(4, 2, flags=())
-
-
-class TestPropagationSource:
-    def test_projection_source_runs(self):
-        xl, yl, xu, _ = cluster_training_data(seed=6)
-        model = build_cmixup_model(8, 2, latent_dim=16, seed=6)
-        _, prop, _ = encoder_train(model, xl, yl, xu, 2, warmup_epochs=1, epochs=2,
-                                   knn_k=20, seed=6, propagation_source="projection")
-        assert np.all((prop.weight >= 0) & (prop.weight <= 1))
-
-    def test_projection_source_requires_head(self):
-        xl, yl, xu, _ = cluster_training_data(seed=7)
-        model = build_cmixup_model(8, 2, latent_dim=16, flags=("decoder",), seed=7)
-        with pytest.raises(ValueError):
-            encoder_train(model, xl, yl, xu, 2, epochs=1, knn_k=20,
-                          propagation_source="projection")

@@ -119,18 +119,6 @@ class TestScaler:
         sc2 = ScalerState((0,), np.array([1.0]), np.array([2.0]))
         assert apply_scaler(ds, sc2).rows[1, 0] == 1.0
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        ds = TabularDataset(
-            (ColumnSchema("x", "numerical"), ColumnSchema("y", "numerical")),
-            rng.normal(3.0, 7.0, size=(50, 2)),
-            None,
-            0,
-        )
-        sc = fit_scaler(ds, np.arange(50))
-        back = apply_scaler(apply_scaler(ds, sc), sc, invert=True)
-        assert np.allclose(back.rows, ds.rows, rtol=1e-9, atol=1e-12)
-
     def test_scaled_columns_standardized(self):
         rng = np.random.default_rng(1)
         ds = TabularDataset(

@@ -172,9 +172,8 @@ class TestBackward:
         fwd = model.forward(x)
         loss, g = loss_crossentropy(fwd.output, np.array([0, 1, 0, 1]))
         grads, _ = model.backward(fwd, g)
-        for kind in ("sgd", "adam"):
-            opt = make_optimizer(model, kind, learning_rate=0.0)
-            step(opt, model, grads)
+        opt = make_optimizer(model, learning_rate=0.0)
+        step(opt, model, grads)
         for w, l in zip(before, model.layers):
             assert np.array_equal(w, l.weight)
 
@@ -218,20 +217,12 @@ class TestGradcheck:
 
 
 class TestOptimizer:
-    def test_sgd_matches_manual_update(self):
-        model = ModelGraph.mlp(2, (), 2, "identity", seed=0)
-        w0 = model.layers[0].weight.copy()
-        grads = Gradients([np.ones_like(w0)], [np.ones(2)])
-        opt = make_optimizer(model, "sgd", learning_rate=0.1)
-        step(opt, model, grads)
-        assert np.allclose(model.layers[0].weight, w0 - 0.1)
-
     def test_adam_first_step_size(self):
         # with constant gradient g, the first Adam step is lr * g / (|g| + eps)
         model = ModelGraph.mlp(2, (), 1, "identity", seed=1)
         w0 = model.layers[0].weight.copy()
         g = np.full_like(w0, 3.0)
-        opt = make_optimizer(model, "adam", learning_rate=0.01)
+        opt = make_optimizer(model, learning_rate=0.01)
         step(opt, model, Gradients([g], [np.zeros(1)]))
         expected = w0 - 0.01 * 3.0 / (3.0 + 1e-8)
         assert np.allclose(model.layers[0].weight, expected, atol=1e-10)
@@ -242,7 +233,7 @@ class TestOptimizer:
             x = rng.normal(size=(32, 4))
             y = rng.integers(0, 3, size=32)
             model = ModelGraph.mlp(4, (8,), 3, "softmax", seed=77)
-            opt = make_optimizer(model, "adam", 1e-3)
+            opt = make_optimizer(model, 1e-3)
             for _ in range(20):
                 fwd = model.forward(x)
                 _, g = loss_crossentropy(fwd.output, y)

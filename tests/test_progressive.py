@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from progtab.data import ColumnSchema, SplitSpec, SyntheticSpec, TabularDataset, make_split, synthesize_dataset
+from progtab.data import ColumnSchema, DataSplit, SplitSpec, SyntheticSpec, TabularDataset, make_split, synthesize_dataset
 from progtab.encoding import encode, fit_cpr, fit_target_encoding, update_counts
 from progtab.progressive import (
     DEFAULT_SEEDS,
@@ -239,6 +241,25 @@ class TestRunProgressive:
         assert back.runs == report.runs
         assert back.config == report.config
 
+    def test_report_with_removed_config_fields_loads(self):
+        # reports written before warm_start, optimizer and the other unused
+        # switches were removed carry them in their config dict
+        ds, split = tiny_problem(seed=2)
+        payload = json.loads(run_progressive(ds, split, tiny_config(seed=3)).to_json())
+        payload["config"].update(accumulate_pseudo_labels=False, warm_start=False,
+                                 optimizer="adam", propagation_source="encoder",
+                                 mixup_pairs_per_anchor=1)
+        back = ExperimentReport.from_json(json.dumps(payload))
+        assert back.config["warm_start"] is False
+        assert back.final_test_accuracy == payload["final_test_accuracy"]
+
+    def test_one_unlabeled_row_fails_loudly(self):
+        # pretext training would skip its only batch and report NaN losses
+        ds, split = tiny_problem(seed=5)
+        one = DataSplit(split.labeled_idx, split.unlabeled_idx[:1], split.test_idx)
+        with pytest.raises(ValueError, match="no batch of at least 2 rows"):
+            run_progressive(ds, one, tiny_config(seed=5))
+
     def test_cmixup_pipeline_runs(self):
         ds, split = tiny_problem(seed=3)
         cfg = RunConfig(
@@ -335,17 +356,3 @@ class TestUpdateDisabledNeverMutates:
         assert calls == []
         run_progressive(ds, split, tiny_config(n_runs=3, update_enabled=True, seed=9))
         assert len(calls) == 2  # rebuilt between runs only
-
-
-class TestWarmStart:
-    def test_warm_start_runs_both_pipelines(self):
-        ds, split = tiny_problem(seed=12)
-        for cfg in (
-            tiny_config(n_runs=2, warm_start=True, seed=12),
-            RunConfig(pipeline="cmixup", n_runs=2, warm_start=True, seed=12,
-                      latent_dim=8, predictor_hidden=(16,), warmup_epochs=1,
-                      encoder_epochs=2, semisup_epochs=2, knn_k=10, batch_size=64,
-                      refinement_mode="none"),
-        ):
-            report = run_progressive(ds, split, cfg)
-            assert len(report.runs) == 2

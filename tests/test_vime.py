@@ -66,13 +66,6 @@ class TestCorrupt:
         with pytest.raises(ValueError):
             corrupt(np.ones((1, 3)), 0.5, np.random.default_rng(0))
 
-    def test_pool_resampling(self):
-        rng = np.random.default_rng(6)
-        pool = np.full((50, 3), 7.0)
-        x = np.zeros((1, 3))  # single row allowed when a pool is supplied
-        xt, mask = corrupt(x, 1.0, rng, pool=pool)
-        assert np.all(xt == 7.0)
-
 
 def rank1_dataset(n=512, d=6, seed=0):
     rng = np.random.default_rng(seed)
@@ -118,6 +111,20 @@ class TestPretext:
         pretext_train(b, x, spec, epochs=3)
         for wa, wb in zip(model_weights(a), model_weights(b)):
             assert np.array_equal(wa, wb)
+
+    @pytest.mark.parametrize("n_rows,batch_size", [(0, 256), (1, 256), (50, 1)])
+    def test_no_batch_of_two_rows_rejected(self, n_rows, batch_size):
+        # every batch would be skipped, leaving NaN epoch losses
+        model = build_vime_model(6, 2, latent_dim=8, seed=0)
+        with pytest.raises(ValueError, match="no batch of at least 2 rows"):
+            pretext_train(model, rank1_dataset()[:n_rows], CorruptionSpec(0.3, seed=1),
+                          epochs=1, batch_size=batch_size)
+
+    def test_two_rows_train(self):
+        model = build_vime_model(6, 2, latent_dim=8, seed=0)
+        _, curve = pretext_train(model, rank1_dataset()[:2], CorruptionSpec(0.3, seed=1),
+                                 epochs=2)
+        assert all(np.isfinite(v) for e in curve for v in e.values())
 
 
 def desk_data(seed, n=1200, signal=1.5):
