@@ -142,6 +142,8 @@ class ExperimentConfig:
         elif kind == "csv":
             if "path" not in self.dataset:
                 problems.append("csv dataset needs a path")
+            elif not os.path.isfile(self.dataset["path"]):
+                problems.append(f"csv file not found: {self.dataset['path']}")
         else:
             problems.append(f"unknown dataset kind {kind!r}")
         for m in self.methods:
@@ -150,8 +152,40 @@ class ExperimentConfig:
         return problems
 
 
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of a RunConfig default: an int is
+    accepted for a float, a list for a tuple, and null only where the default
+    is None (n_runs, an int or null)."""
+    if default is None:
+        return value is None or _fits(value, 0)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, tuple):
+        item = default[0] if default else 0
+        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _check_overrides(overrides: dict) -> dict:
+    """An override must name a RunConfig field and have its default's type."""
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    unknown = set(overrides) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown RunConfig fields {sorted(unknown)}")
+    for name, value in overrides.items():
+        if not _fits(value, fields[name].default):
+            raise ConfigError(f"RunConfig field {name!r} takes {fields[name].type}, "
+                              f"got {value!r}")
+    return overrides
+
+
 def parse_experiment_config(payload: dict, default_out: str | None = None) -> ExperimentConfig:
     split_d = dict(payload.get("split", {}))
+    unknown = set(split_d) - {f.name for f in dataclasses.fields(SplitSpec)}
+    if unknown:
+        raise ConfigError(f"unknown split keys {sorted(unknown)}")
     split = SplitSpec(
         split_d.get("train_fraction", 0.8),
         split_d.get("labeled_fraction_of_train", 0.1),
@@ -163,7 +197,7 @@ def parse_experiment_config(payload: dict, default_out: str | None = None) -> Ex
         if isinstance(entry, str):
             entry = {"preset": entry}
         if entry.get("preset") == "cmixup_ablation_matrix":
-            base = RunConfig(pipeline="cmixup", **entry.get("overrides", {}))
+            base = RunConfig(pipeline="cmixup", **_check_overrides(entry.get("overrides", {})))
             methods.extend(ablation_methods(base))
             continue
         if "preset" in entry:
@@ -174,11 +208,7 @@ def parse_experiment_config(payload: dict, default_out: str | None = None) -> Ex
             cfg = RunConfig()
         overrides = dict(entry.get("overrides", {}))
         overrides.update(entry.get("config", {}))
-        valid_fields = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(overrides) - valid_fields
-        if unknown:
-            raise ConfigError(f"unknown RunConfig fields {sorted(unknown)}")
-        cfg = replace(cfg, **overrides)
+        cfg = replace(cfg, **_check_overrides(overrides))
         if "name" in entry:
             cfg.name = entry["name"]
         if not cfg.name:

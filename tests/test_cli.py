@@ -15,7 +15,7 @@ from progtab.cli import (
     run_experiment,
 )
 from progtab.data import load_csv
-from progtab.progressive import ExperimentReport
+from progtab.progressive import ConfigError, ExperimentReport
 
 
 def fast_overrides():
@@ -61,6 +61,33 @@ class TestConfigParsing:
                 {"preset": "supervised", "overrides": {field: 1}}])
             with pytest.raises(Exception, match=field):
                 parse_experiment_config(payload)
+
+    @pytest.mark.parametrize("field,value", [
+        ("predictor_hidden", "abc"), ("predictor_hidden", [16.5]), ("semisup_epochs", 7.5),
+        ("update_enabled", 1), ("knn_k", True), ("learning_rate", "0.1"),
+        ("refinement_mode", 3), ("n_runs", "2"), ("component_flags", [1]),
+    ])
+    def test_ill_typed_override_rejected(self, tmp_path, field, value):
+        for entry in ({"preset": "supervised", "overrides": {field: value}},
+                      {"preset": "cmixup_ablation_matrix", "overrides": {field: value}}):
+            with pytest.raises(ConfigError, match=f"RunConfig field '{field}'"):
+                parse_experiment_config(tiny_payload(tmp_path, [entry]))
+
+    def test_well_typed_overrides_accepted(self, tmp_path):
+        overrides = {"learning_rate": 1, "n_runs": None, "predictor_hidden": [16],
+                     "encoder_hidden": [], "update_enabled": False, "name": "x",
+                     "component_flags": ["decoder"], "classifier_threshold": 0.5}
+        cfg = parse_experiment_config(tiny_payload(tmp_path, [
+            {"preset": "supervised", "overrides": overrides}]))
+        assert cfg.methods[0].learning_rate == 1
+        assert cfg.methods[0].predictor_hidden == (16,)
+        assert cfg.methods[0].n_runs is None
+
+    def test_unknown_split_key_rejected(self, tmp_path):
+        payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
+        payload["split"]["bogus"] = 1
+        with pytest.raises(ConfigError, match="bogus"):
+            parse_experiment_config(payload)
 
     def test_env_var_default_output(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROGTAB_OUT", str(tmp_path / "envout"))
@@ -251,6 +278,28 @@ class TestCliEntry:
         captured = capsys.readouterr()
         assert "synthetic spec" in captured.out + captured.err
         assert "config ok" not in captured.out
+
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_missing_csv_exits_1(self, tmp_path, capsys, verb):
+        payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
+        missing = tmp_path / "no-such.csv"
+        payload["dataset"] = {"kind": "csv", "path": str(missing), "label_column": "label"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert f"csv file not found: {missing}" in captured.out + captured.err
+        assert "config ok" not in captured.out
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_ill_typed_override_exits_1(self, tmp_path, capsys, verb):
+        payload = tiny_payload(tmp_path, [
+            {"preset": "supervised", "overrides": {"predictor_hidden": "abc"}}])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        assert "'predictor_hidden'" in capsys.readouterr().err
 
 
 class TestPresetDatasets:

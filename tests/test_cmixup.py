@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from progtab import nn
 from progtab.cmixup import (
     MixupSpec,
     PropagationError,
@@ -85,7 +86,7 @@ def two_clusters(n=500, sigma=0.1, dim=8, seed=0):
 
 def dense_knn_reference(latents, k):
     """The kNN graph from the full cosine matrix, each row fully sorted."""
-    z = latents / np.linalg.norm(latents, axis=1, keepdims=True)
+    z = nn.l2_normalize_rows(latents)
     sims = z @ z.T
     np.fill_diagonal(sims, -np.inf)
     top = np.argsort(-sims, axis=1, kind="stable")[:, :k]
@@ -95,20 +96,38 @@ def dense_knn_reference(latents, k):
     return sp.csr_matrix(np.maximum(w, w.T))
 
 
+def assert_matches_dense_reference(latents, k):
+    got = _knn_affinity(latents, k)
+    want = dense_knn_reference(latents, k)
+    got.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+    assert (got != got.T).nnz == 0
+    assert np.all(got.diagonal() == 0.0)
+
+
 class TestKnnAffinity:
-    # 3,000 rows take 1,398 rows per block: two full blocks and a short tail
-    @pytest.mark.parametrize("n,k", [(3000, 10), (40, 5)])
+    # 3,000 rows take 1,398 rows per block: two full blocks and a short tail;
+    # k = 300 exceeds the 256 column groups, and k = 39 takes all other rows
+    @pytest.mark.parametrize("n,k", [(3000, 10), (40, 5), (700, 300), (40, 39)])
     def test_matches_dense_reference(self, n, k):
-        latents = np.random.default_rng(n).normal(size=(n, 6))
-        got = _knn_affinity(latents, k)
-        want = dense_knn_reference(latents, k)
-        got.sort_indices()
-        want.sort_indices()
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
-        assert (got != got.T).nnz == 0
-        assert np.all(got.diagonal() == 0.0)
+        assert_matches_dense_reference(np.random.default_rng(n).normal(size=(n, 6)), k)
+
+    # copies of one row tie at a positive similarity: 40 copies spread over
+    # 40 column groups tie at the bound itself, 20 copies in 2 groups tie
+    # above it; the zero row ties with every row at 0 and gets no edge
+    @pytest.mark.parametrize("stride,n_copies", [(73, 40), (128, 20)])
+    def test_ties_go_to_the_lowest_index(self, stride, n_copies):
+        latents = np.random.default_rng(1).normal(size=(3000, 6))
+        copies = 100 + stride * np.arange(n_copies)
+        latents[copies] = latents[copies[0]]
+        latents[7] = 0.0
+        assert_matches_dense_reference(latents, 10)
+        got = _knn_affinity(latents, 10)
+        assert got[7].nnz == 0
+        assert set(got[copies[-1]].indices) == set(copies[:10].tolist())
 
 
 class TestPropagation:
@@ -141,6 +160,13 @@ class TestPropagation:
     def test_k_too_large_rejected(self):
         with pytest.raises(PropagationError):
             propagate_labels(np.zeros((10, 2)), np.array([0, 1]), np.array([0, 1]), 2, k=10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_latents_rejected(self, bad):
+        latents = np.random.default_rng(9).normal(size=(300, 4))
+        latents[[17, 250], 2] = bad
+        with pytest.raises(PropagationError, match=r"2 of 300 latent rows .* row 17"):
+            propagate_labels(latents, np.array([0, 1]), np.array([0, 1]), 2, k=10)
 
     def test_missing_class_rejected(self):
         rng = np.random.default_rng(8)
