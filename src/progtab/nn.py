@@ -1,9 +1,12 @@
 """Minimal deterministic neural-network core.
 
-Dense layers with {relu, identity, softmax, sigmoid} activations, exact
-reverse-mode gradients, Adam, and a central-finite-difference gradient
-checker. Every loss returns (value, gradient w.r.t. its input) so training
-loops can compose heads and chain gradients through shared encoders.
+Dense layers with {relu, identity, softmax} activations, exact reverse-mode
+gradients, Adam, and a central-finite-difference gradient checker. A model's
+parameters are one flat float64 vector with the layers as views into it;
+gradients and Adam moments are vectors in the same layout, so an optimizer
+step is a few vector operations. Every loss returns (value, gradient w.r.t.
+its input) so training loops can compose heads and chain gradients through
+shared encoders.
 
 Determinism: parameters are initialized from a seeded generator; forward and
 backward are pure ndarray arithmetic with fixed reduction order.
@@ -41,49 +44,59 @@ def seeded_rng(seed: int, *tags) -> np.random.Generator:
 class DenseLayer:
     weight: np.ndarray  # (in_dim, out_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str  # relu | identity | softmax | sigmoid
+    activation: str  # relu | identity | softmax
 
     def __post_init__(self):
-        if self.activation not in ("relu", "identity", "softmax", "sigmoid"):
+        if self.activation not in ("relu", "identity", "softmax"):
             raise NnError(f"unknown activation {self.activation!r}")
 
 
-@dataclass
 class ModelGraph:
-    layers: list[DenseLayer]
-    seed: int = 0
+    """A stack of dense layers whose parameters live in one flat float64
+    vector ``params``: layer by layer, each weight (row-major) then its bias.
+    Every layer's weight and bias are views into it. The constructor copies
+    the given layers' arrays into a new vector."""
 
-    def __post_init__(self):
-        for a, b in zip(self.layers, self.layers[1:]):
+    def __init__(self, layers: list[DenseLayer]):
+        for a, b in zip(layers, layers[1:]):
             if a.weight.shape[1] != b.weight.shape[0]:
                 raise NnError("consecutive layer dims incompatible")
+        self.params = np.concatenate([a for l in layers for a in (l.weight, l.bias)],
+                                     axis=None, dtype=np.float64)
+        self.layers = [DenseLayer(w, b, l.activation)
+                       for l, (w, b) in zip(layers, self._views(self.params, layers))]
+
+    @staticmethod
+    def _views(flat: np.ndarray, layers: list[DenseLayer]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views into a vector laid out like ``params``."""
+        views, at = [], 0
+        for l in layers:
+            n_in, n_out = l.weight.shape
+            w = flat[at:at + n_in * n_out].reshape(n_in, n_out)
+            at += n_in * n_out
+            views.append((w, flat[at:at + n_out]))
+            at += n_out
+        return views
 
     @classmethod
-    def build(cls, dims: list[int], activations: list[str], seed: int) -> "ModelGraph":
-        """MLP with layer sizes dims[0] -> dims[1] -> ... -> dims[-1].
+    def mlp(cls, input_dim: int, hidden: tuple[int, ...], output_dim: int,
+            output_activation: str, seed: int) -> "ModelGraph":
+        """MLP input_dim -> *hidden -> output_dim with relu hidden layers.
 
         He-scaled init for relu layers, Glorot for the rest; biases zero.
         """
-        if len(activations) != len(dims) - 1:
-            raise NnError("need one activation per layer")
+        dims = [input_dim, *hidden, output_dim]
+        acts = ["relu"] * len(hidden) + [output_activation]
         rng = np.random.default_rng(seed)
         layers = []
-        for i, act in enumerate(activations):
-            fan_in, fan_out = dims[i], dims[i + 1]
+        for fan_in, fan_out, act in zip(dims, dims[1:], acts):
             if act == "relu":
                 scale = np.sqrt(2.0 / fan_in)
             else:
                 scale = np.sqrt(2.0 / (fan_in + fan_out))
             w = scale * rng.standard_normal((fan_in, fan_out))
             layers.append(DenseLayer(w, np.zeros(fan_out), act))
-        return cls(layers, seed)
-
-    @classmethod
-    def mlp(cls, input_dim: int, hidden: tuple[int, ...], output_dim: int,
-            output_activation: str, seed: int) -> "ModelGraph":
-        dims = [input_dim, *hidden, output_dim]
-        acts = ["relu"] * len(hidden) + [output_activation]
-        return cls.build(dims, acts, seed)
+        return cls(layers)
 
     @property
     def input_dim(self) -> int:
@@ -94,70 +107,45 @@ class ModelGraph:
         return self.layers[-1].weight.shape[1]
 
     def copy(self) -> "ModelGraph":
-        return ModelGraph(
-            [DenseLayer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers],
-            self.seed,
-        )
+        return ModelGraph(self.layers)
 
     def forward(self, inputs: np.ndarray) -> "Forward":
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise NnError(f"input width {x.shape} does not match first layer {self.input_dim}")
         acts = [x]
-        pres = []
         for layer in self.layers:
-            z = acts[-1] @ layer.weight + layer.bias
-            pres.append(z)
-            acts.append(_activate(layer.activation, z))
-        return Forward(acts, pres)
+            acts.append(_activate(layer.activation, acts[-1] @ layer.weight + layer.bias))
+        return Forward(acts)
 
-    def backward(self, fwd: "Forward", grad_output: np.ndarray) -> tuple["Gradients", np.ndarray]:
+    def backward(self, fwd: "Forward", grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact gradients of a scalar loss given dL/d(output).
 
-        Returns (parameter gradients, dL/d(input)) so callers can chain
-        through upstream models.
+        Returns (dL/d(params), laid out like ``params``; dL/d(input)) so
+        callers can chain through upstream models.
         """
         g = np.asarray(grad_output, dtype=np.float64)
-        weight_grads = [None] * len(self.layers)
-        bias_grads = [None] * len(self.layers)
+        grads = np.empty_like(self.params)
+        views = self._views(grads, self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
-            gz = _activate_backward(layer.activation, fwd.pres[i], fwd.acts[i + 1], g)
-            weight_grads[i] = fwd.acts[i].T @ gz
-            bias_grads[i] = gz.sum(axis=0)
-            if not (np.isfinite(weight_grads[i]).all() and np.isfinite(bias_grads[i]).all()):
+            gw, gb = views[i]
+            gz = _activate_backward(layer.activation, fwd.acts[i + 1], g)
+            np.matmul(fwd.acts[i].T, gz, out=gw)
+            gz.sum(axis=0, out=gb)
+            if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
                 raise GradientError(i, "non-finite gradient")
             g = gz @ layer.weight.T
-        return Gradients(weight_grads, bias_grads), g
+        return grads, g
 
 
 @dataclass
 class Forward:
     acts: list[np.ndarray]  # acts[0] is the input, acts[-1] the output
-    pres: list[np.ndarray]
 
     @property
     def output(self) -> np.ndarray:
         return self.acts[-1]
-
-
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def add_scaled(self, other: "Gradients", scale: float) -> "Gradients":
-        return Gradients(
-            [a + scale * b for a, b in zip(self.weights, other.weights)],
-            [a + scale * b for a, b in zip(self.biases, other.biases)],
-        )
-
-    @classmethod
-    def zeros_like(cls, model: ModelGraph) -> "Gradients":
-        return cls(
-            [np.zeros_like(l.weight) for l in model.layers],
-            [np.zeros_like(l.bias) for l in model.layers],
-        )
 
 
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
@@ -165,29 +153,30 @@ def _activate(kind: str, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if kind == "identity":
         return z
-    if kind == "sigmoid":
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        e = np.exp(z[~pos])
-        out[~pos] = e / (1.0 + e)
-        return out
     # softmax, row-wise
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _activate_backward(kind: str, z: np.ndarray, a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _activate_backward(kind: str, a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """dL/dz from dL/da and the activation a; relu's a > 0 is exactly z > 0."""
     if kind == "relu":
-        return grad * (z > 0)
+        return grad * (a > 0)
     if kind == "identity":
         return grad
-    if kind == "sigmoid":
-        return grad * a * (1.0 - a)
     # softmax Jacobian: dz = a * (g - <g, a>)
     dot = (grad * a).sum(axis=1, keepdims=True)
     return a * (grad - dot)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    e = np.exp(z[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -225,7 +214,7 @@ def loss_mask_bce(mask_logits: np.ndarray, true_mask: np.ndarray) -> tuple[float
     z, m = mask_logits, true_mask
     # log(1 + exp(z)) - m*z, computed stably
     loss = float((np.maximum(z, 0.0) - m * z + np.log1p(np.exp(-np.abs(z)))).mean())
-    grad = (_activate("sigmoid", z) - m) / z.size
+    grad = (_sigmoid(z) - m) / z.size
     return loss, grad
 
 
@@ -321,37 +310,34 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Adam moments for one model."""
+    """Adam moments for one model, laid out like its ``params``."""
 
     learning_rate: float
-    m: Gradients
-    v: Gradients
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
 
 
 def make_optimizer(model: ModelGraph, learning_rate: float) -> OptimizerState:
-    return OptimizerState(learning_rate, Gradients.zeros_like(model),
-                          Gradients.zeros_like(model))
+    return OptimizerState(learning_rate, np.zeros_like(model.params),
+                          np.zeros_like(model.params))
 
 
-def step(optimizer: OptimizerState, model: ModelGraph, grads: Gradients) -> ModelGraph:
+def step(optimizer: OptimizerState, model: ModelGraph, grads: np.ndarray) -> ModelGraph:
     """Apply one Adam update in place; returns the model for convenience."""
     optimizer.step_count += 1
     t = optimizer.step_count
     correct1 = 1.0 - ADAM_BETA1**t
     correct2 = 1.0 - ADAM_BETA2**t
-    for i, layer in enumerate(model.layers):
-        for attr, g, m, v in (
-            ("weight", grads.weights[i], optimizer.m.weights[i], optimizer.v.weights[i]),
-            ("bias", grads.biases[i], optimizer.m.biases[i], optimizer.v.biases[i]),
-        ):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g**2
-            update = optimizer.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + ADAM_EPS)
-            param = getattr(layer, attr)
-            param -= update
+    m, v = optimizer.m, optimizer.v
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads**2
+    # a statement of its own, so that no more than two parameter-sized
+    # temporaries are alive at once
+    denom = np.sqrt(v / correct2) + ADAM_EPS
+    model.params -= optimizer.learning_rate * (m / correct1) / denom
     return model
 
 
@@ -362,48 +348,40 @@ def step(optimizer: OptimizerState, model: ModelGraph, grads: Gradients) -> Mode
 @dataclass
 class GradCheckReport:
     max_rel_err: float
-    worst_layer: int
-    worst_param: str  # weight | bias
-    worst_index: tuple
+    worst_index: int  # into model.params
     n_params: int
 
 
 def gradcheck(model: ModelGraph, loss_fn, epsilon: float = 1e-5) -> GradCheckReport:
     """Central finite differences on every parameter of the model.
 
-    ``loss_fn(model)`` must return (scalar loss, Gradients). The analytic
-    gradient is compared entry-by-entry against (L(p+eps) - L(p-eps)) / 2eps
-    using the symmetric relative error |a - n| / max(1e-8, |a| + |n|).
+    ``loss_fn(model)`` must return (scalar loss, flat parameter gradient). The
+    analytic gradient is compared entry-by-entry against
+    (L(p+eps) - L(p-eps)) / 2eps using the symmetric relative error
+    |a - n| / max(1e-8, |a| + |n|).
     """
     _, analytic = loss_fn(model)
-    worst = (0.0, -1, "", ())
-    n_params = 0
-    for i, layer in enumerate(model.layers):
-        for attr, grad in (("weight", analytic.weights[i]), ("bias", analytic.biases[i])):
-            param = getattr(layer, attr)
-            it = np.nditer(param, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = param[idx]
-                param[idx] = orig + epsilon
-                up, _ = loss_fn(model)
-                param[idx] = orig - epsilon
-                down, _ = loss_fn(model)
-                param[idx] = orig
-                numeric = (up - down) / (2.0 * epsilon)
-                a = grad[idx]
-                rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-                if rel > worst[0]:
-                    worst = (rel, i, attr, idx)
-                n_params += 1
-                it.iternext()
-    return GradCheckReport(worst[0], worst[1], worst[2], worst[3], n_params)
+    params = model.params
+    worst, worst_index = 0.0, -1
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + epsilon
+        up, _ = loss_fn(model)
+        params[i] = orig - epsilon
+        down, _ = loss_fn(model)
+        params[i] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        a = analytic[i]
+        rel = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+        if rel > worst:
+            worst, worst_index = rel, i
+    return GradCheckReport(worst, worst_index, params.size)
 
 
 def gradcheck_cases(batch: int = 6, dim: int = 5):
     """One (name, model, loss_fn) case per loss in the module, on fixed small
     models whose relu pre-activations sit away from kinks at the default FD
-    step. loss_fn(model) -> (loss, Gradients); suitable for gradcheck()."""
+    step. loss_fn(model) -> (loss, flat gradient); suitable for gradcheck()."""
     rng = np.random.default_rng(42)
     cases = []
 
@@ -448,10 +426,10 @@ def gradcheck_cases(batch: int = 6, dim: int = 5):
         fwds = [m.forward(xk[k]) for k in range(3)]
         stack = np.stack([f.output for f in fwds])
         loss, g = loss_consistency(stack)
-        total = Gradients.zeros_like(m)
+        total = np.zeros_like(m.params)
         for k, f in enumerate(fwds):
             gk, _ = m.backward(f, g[k])
-            total = total.add_scaled(gk, 1.0)
+            total += gk
         return loss, total
 
     cases.append(("consistency", cons_model, cons_fn))

@@ -67,7 +67,6 @@ class RunConfig:
     pretext_epochs: int = 10
     semisup_epochs: int = 20
     pretext_enabled: bool = True
-    fine_tune_encoder: bool = False
     # cmixup first step
     component_flags: tuple[str, ...] = ("decoder", "projection", "classifier")
     w_recon: float = 1.0
@@ -129,6 +128,10 @@ class RunConfig:
                 problems.append("cmixup needs at least one component flag")
         if not 0.0 <= self.p_mask <= 1.0:
             problems.append("p_mask must lie in [0, 1]")
+        if self.knn_k < 1:
+            problems.append("knn_k must be >= 1")
+        if not 0.0 <= self.alpha_diff < 1.0:
+            problems.append("alpha_diff must lie in [0, 1)")
         return problems
 
 
@@ -288,7 +291,6 @@ def _train_vime_run(x, y, num_classes: int, split: DataSplit, config: RunConfig,
         model, xl, yl, xu, spec, beta=config.beta_consistency,
         k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
         batch_size=config.batch_size, learning_rate=config.learning_rate,
-        fine_tune_encoder=config.fine_tune_encoder,
     )
     curves["semisup"] = _curve_to_json(semi_curve)
     pl_labels, pl_conf = vime.predict(model, xu)
@@ -331,7 +333,6 @@ def _train_cmixup_run(x, y, num_classes: int, split: DataSplit, config: RunConfi
         vm, xl, yl, xu, spec, beta=config.beta_consistency,
         k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
         batch_size=config.batch_size, learning_rate=config.learning_rate,
-        fine_tune_encoder=False,
     )
     curves["semisup"] = _curve_to_json(semi_curve)
 

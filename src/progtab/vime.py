@@ -188,18 +188,16 @@ def semisup_train(
     epochs: int = 20,
     batch_size: int = 256,
     learning_rate: float = 1e-3,
-    fine_tune_encoder: bool = False,
 ) -> tuple[VimeModel, list[dict]]:
     """Predictor training: CE on corrupted labeled batches + beta * consistency
     across k_corruptions corrupted copies of unlabeled batches.
 
     Corruption is applied before the encoder in this step too (identity when
     p_mask=0), so scarce labeled rows are augmented the same way unlabeled
-    ones are. The encoder is frozen unless fine_tune_encoder is set. With
-    beta=0 or no unlabeled rows the unlabeled path is skipped entirely, which
-    makes this the supervised baseline; its rng streams are independent of the
-    unlabeled ones, so enabling the consistency term never perturbs the
-    labeled path.
+    ones are. The encoder stays frozen. With beta=0 or no unlabeled rows the
+    unlabeled path is skipped entirely, which makes this the supervised
+    baseline; its rng streams are independent of the unlabeled ones, so
+    enabling the consistency term never perturbs the labeled path.
     """
     rng_lab = seeded_rng(spec.seed, "semisup-lab")
     rng_lab_corrupt = seeded_rng(spec.seed, "semisup-lab-corrupt")
@@ -207,9 +205,6 @@ def semisup_train(
     rng_corrupt = seeded_rng(spec.seed, "semisup-corrupt")
     use_unlab = beta > 0.0 and k_corruptions >= 2 and x_unlab.shape[0] >= 2
     opt_pred = make_optimizer(model.predictor, learning_rate)
-    opt_enc = None
-    if fine_tune_encoder and model.encoder is not None:
-        opt_enc = make_optimizer(model.encoder, learning_rate)
     n_lab = x_lab.shape[0]
     n_unlab = x_unlab.shape[0]
     curve = []
@@ -223,41 +218,28 @@ def semisup_train(
             yb = y_lab[order[sl]]
             if spec.p_mask > 0.0 and xb.shape[0] >= 2:
                 xb, _ = corrupt(xb, spec.p_mask, rng_lab_corrupt)
-            enc_fwd = model.encoder.forward(xb) if model.encoder is not None else None
-            h = enc_fwd.output if enc_fwd is not None else xb
-            pred_fwd = model.predictor.forward(h)
+            pred_fwd = model.predictor.forward(model.latent(xb))
             ce, g = nn.loss_crossentropy(pred_fwd.output, yb)
-            g_pred, g_h = model.predictor.backward(pred_fwd, g)
-            g_enc = None
-            if opt_enc is not None:
-                g_enc, _ = model.encoder.backward(enc_fwd, g_h)
+            g_pred, _ = model.predictor.backward(pred_fwd, g)
 
             cons = 0.0
             if use_unlab:
                 pick = np.arange(bi * batch_size, bi * batch_size + batch_size) % n_unlab
                 xu = x_unlab[u_order[pick]]
-                enc_fwds, pred_fwds = [], []
+                pred_fwds = []
                 for _ in range(k_corruptions):
                     xt, _mask = corrupt(xu, spec.p_mask, rng_corrupt)
-                    ef = model.encoder.forward(xt) if model.encoder is not None else None
-                    hu = ef.output if ef is not None else xt
-                    enc_fwds.append(ef)
-                    pred_fwds.append(model.predictor.forward(hu))
+                    pred_fwds.append(model.predictor.forward(model.latent(xt)))
                 stack = np.stack([f.output for f in pred_fwds])
                 cons, g_stack = nn.loss_consistency(stack)
-                for kf, (ef, pf) in enumerate(zip(enc_fwds, pred_fwds)):
-                    gk, gh = model.predictor.backward(pf, beta * g_stack[kf])
-                    g_pred = g_pred.add_scaled(gk, 1.0)
-                    if opt_enc is not None:
-                        gek, _ = model.encoder.backward(ef, gh)
-                        g_enc = g_enc.add_scaled(gek, 1.0)
+                for kf, pf in enumerate(pred_fwds):
+                    gk, _ = model.predictor.backward(pf, beta * g_stack[kf])
+                    g_pred += gk
 
             total = ce + beta * cons
             if not np.isfinite(total):
                 raise TrainingDiverged("semisup", epoch, f"ce={ce} consistency={cons}")
             step(opt_pred, model.predictor, g_pred)
-            if opt_enc is not None:
-                step(opt_enc, model.encoder, g_enc)
             sums += (ce, cons)
             n_batches += 1
         curve.append({"ce": sums[0] / n_batches, "consistency": sums[1] / n_batches})

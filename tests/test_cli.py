@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,10 +54,11 @@ class TestConfigParsing:
         assert cfg.methods[0].semisup_epochs == 7
 
     def test_unknown_field_rejected(self, tmp_path):
-        # the last five were RunConfig fields once; old configs must not
+        # the last six were RunConfig fields once; old configs must not
         # silently lose them
         for field in ("bogus_field", "accumulate_pseudo_labels", "warm_start",
-                      "optimizer", "propagation_source", "mixup_pairs_per_anchor"):
+                      "optimizer", "propagation_source", "mixup_pairs_per_anchor",
+                      "fine_tune_encoder"):
             payload = tiny_payload(tmp_path, [
                 {"preset": "supervised", "overrides": {field: 1}}])
             with pytest.raises(Exception, match=field):
@@ -151,7 +153,7 @@ class TestRunExperiment:
         cfg = parse_experiment_config(payload)
         table, reports = run_experiment(cfg)
         report_dir = os.path.join(payload["output_dir"], "reports")
-        loaded = [ExperimentReport.from_json(open(os.path.join(report_dir, f)).read())
+        loaded = [ExperimentReport.from_json(Path(report_dir, f).read_text())
                   for f in sorted(os.listdir(report_dir))]
         rebuilt = render_table(loaded, table.methods)
         assert rebuilt.to_json() == table.to_json()
@@ -189,7 +191,7 @@ class TestRatioSweep:
         rows, warnings = emit_ratio_sweep(cfg, ratios)
         assert len(rows) == 10  # 5 ratios x 2 methods
         csv_path = os.path.join(payload["output_dir"], "ratio_sweep.csv")
-        lines = open(csv_path).read().strip().split("\n")
+        lines = Path(csv_path).read_text().strip().split("\n")
         assert lines[0] == "method,ratio,mean_acc,std_acc,n_seeds"
         assert len(lines) == 11
 
@@ -300,6 +302,22 @@ class TestCliEntry:
         cfg_path.write_text(json.dumps(payload))
         assert main([verb, "--config", str(cfg_path)]) == 1
         assert "'predictor_hidden'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,problem", [
+        ({"knn_k": 0}, "knn_k must be >= 1"),
+        ({"alpha_diff": 1.0}, "alpha_diff must lie in [0, 1)"),
+        ({"alpha_diff": -0.1}, "alpha_diff must lie in [0, 1)"),
+    ])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_bad_propagation_setting_exits_1(self, tmp_path, capsys, verb, overrides, problem):
+        payload = tiny_payload(tmp_path, [
+            {"preset": "cmixup", "overrides": {**fast_overrides(), **overrides}}])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert problem in captured.out + captured.err
+        assert "config ok" not in captured.out
 
 
 class TestPresetDatasets:

@@ -5,7 +5,6 @@ from progtab.nn import (
     DenseLayer,
     gradcheck_cases,
     GradientError,
-    Gradients,
     ModelGraph,
     NnError,
     gradcheck,
@@ -48,6 +47,51 @@ class TestForward:
         model = ModelGraph.mlp(4, (), 2, "identity", seed=0)
         with pytest.raises(NnError):
             model.forward(np.zeros((3, 5)))
+
+    def test_sigmoid_is_not_a_layer_activation(self):
+        with pytest.raises(NnError):
+            DenseLayer(np.zeros((2, 2)), np.zeros(2), "sigmoid")
+
+
+class TestFlatParameters:
+    def test_layer_views_alias_params(self):
+        model = ModelGraph.mlp(3, (4,), 2, "softmax", seed=0)
+        assert model.params.size == 3 * 4 + 4 + 4 * 2 + 2
+        for layer in model.layers:
+            assert np.shares_memory(layer.weight, model.params)
+            assert np.shares_memory(layer.bias, model.params)
+        model.params[:] = np.arange(model.params.size)
+        assert model.layers[0].weight[0, 1] == 1.0
+        assert model.layers[0].bias[0] == 12.0
+        assert model.layers[1].weight[0, 0] == 16.0
+        model.layers[1].bias[1] = -5.0
+        assert model.params[-1] == -5.0
+
+    def test_copy_is_independent(self):
+        model = ModelGraph.mlp(3, (4,), 2, "softmax", seed=0)
+        clone = model.copy()
+        assert np.array_equal(clone.params, model.params)
+        assert not np.shares_memory(clone.params, model.params)
+        before = model.params.copy()
+        clone.params += 1.0
+        clone.layers[0].weight[0, 0] = 9.0
+        assert np.array_equal(model.params, before)
+
+    def test_constructor_packs_given_arrays(self):
+        w = np.arange(6.0).reshape(2, 3)
+        model = ModelGraph([DenseLayer(w, np.ones(3), "identity")])
+        assert np.array_equal(model.params, [0, 1, 2, 3, 4, 5, 1, 1, 1])
+        model.params[0] = 7.0
+        assert w[0, 0] == 0.0
+
+    def test_backward_gradient_matches_params_layout(self):
+        model = ModelGraph.mlp(3, (4,), 2, "identity", seed=1)
+        x = np.random.default_rng(2).normal(size=(5, 3))
+        fwd = model.forward(x)
+        grads, _ = model.backward(fwd, np.ones((5, 2)))
+        assert grads.shape == model.params.shape
+        bias_at = 3 * 4 + 4 + 4 * 2
+        assert np.array_equal(grads[bias_at:], [5.0, 5.0])  # d(sum of outputs)/d(bias)
 
 
 class TestLossValues:
@@ -221,11 +265,22 @@ class TestOptimizer:
         # with constant gradient g, the first Adam step is lr * g / (|g| + eps)
         model = ModelGraph.mlp(2, (), 1, "identity", seed=1)
         w0 = model.layers[0].weight.copy()
-        g = np.full_like(w0, 3.0)
+        g = np.zeros_like(model.params)
+        g[:w0.size] = 3.0  # the weight entries; the bias gradient stays 0
         opt = make_optimizer(model, learning_rate=0.01)
-        step(opt, model, Gradients([g], [np.zeros(1)]))
+        step(opt, model, g)
         expected = w0 - 0.01 * 3.0 / (3.0 + 1e-8)
         assert np.allclose(model.layers[0].weight, expected, atol=1e-10)
+
+    def test_step_moves_only_entries_with_gradient(self):
+        model = ModelGraph.mlp(3, (4,), 2, "softmax", seed=5)
+        before = model.params.copy()
+        g = np.zeros_like(model.params)
+        g[7] = -0.5
+        step(make_optimizer(model, learning_rate=0.01), model, g)
+        moved = np.flatnonzero(model.params != before)
+        assert moved.tolist() == [7]
+        assert model.params[7] > before[7]
 
     def test_training_reproducible(self):
         def run():

@@ -248,7 +248,7 @@ class TestRunProgressive:
         payload = json.loads(run_progressive(ds, split, tiny_config(seed=3)).to_json())
         payload["config"].update(accumulate_pseudo_labels=False, warm_start=False,
                                  optimizer="adam", propagation_source="encoder",
-                                 mixup_pairs_per_anchor=1)
+                                 mixup_pairs_per_anchor=1, fine_tune_encoder=False)
         back = ExperimentReport.from_json(json.dumps(payload))
         assert back.config["warm_start"] is False
         assert back.final_test_accuracy == payload["final_test_accuracy"]
