@@ -475,6 +475,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {ds.n_rows} rows to {args.out}")
             return 0
         if args.verb == "gradcheck":
+            if not args.epsilon > 0:
+                raise ConfigError(f"--epsilon must be > 0, got {args.epsilon}")
             worst = 0.0
             for name, model, fn in nn.gradcheck_cases():
                 report = nn.gradcheck(model, fn, epsilon=args.epsilon)

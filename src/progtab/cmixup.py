@@ -29,34 +29,25 @@ class PropagationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class MixupSpec:
-    beta_alpha: float = 0.2  # lambda ~ Beta(a, a)
-
-    def __post_init__(self):
-        if self.beta_alpha <= 0:
-            raise ValueError("beta_alpha must be > 0")
+# the reference setup's fixed hyperparameters
+PROJECTION_DIM = 32
+MIXUP_BETA_ALPHA = 0.2  # lambda ~ Beta(a, a)
+SUPCON_TEMPERATURE = 0.1
+W_CLF = 0.5  # classifier CE weight; reconstruction and supcon weigh 1
 
 
 @dataclass
 class CmixupModel:
+    """An encoder and its heads; a head that is None is disabled."""
+
     encoder: ModelGraph
     projection: ModelGraph | None
     decoder: ModelGraph | None
     classifier: ModelGraph | None
-    component_flags: frozenset[str]
 
     def __post_init__(self):
-        self.component_flags = frozenset(self.component_flags)
-        unknown = self.component_flags - {"projection", "decoder", "classifier"}
-        if unknown:
-            raise ValueError(f"unknown component flags {sorted(unknown)}")
-        if not self.component_flags:
+        if self.projection is None and self.decoder is None and self.classifier is None:
             raise ValueError("at least one of decoder/projection/classifier must be enabled")
-        for flag, head in (("projection", self.projection), ("decoder", self.decoder),
-                           ("classifier", self.classifier)):
-            if flag in self.component_flags and head is None:
-                raise ValueError(f"flag {flag!r} enabled but head missing")
 
     def latent(self, x: np.ndarray) -> np.ndarray:
         return self.encoder.forward(x).output
@@ -73,16 +64,19 @@ def build_cmixup_model(
     input_dim: int,
     num_classes: int,
     latent_dim: int = 32,
-    projection_dim: int = 32,
     flags: tuple[str, ...] = ("decoder", "projection", "classifier"),
     encoder_hidden: tuple[int, ...] = (),
     seed: int = 0,
 ) -> CmixupModel:
+    """A fresh model with one head per flag."""
+    unknown = set(flags) - {"projection", "decoder", "classifier"}
+    if unknown:
+        raise ValueError(f"unknown component flags {sorted(unknown)}")
     encoder = ModelGraph.mlp(input_dim, encoder_hidden, latent_dim, "relu",
                              seed=derive_seed(seed, "cm-encoder"))
     projection = decoder = classifier = None
     if "projection" in flags:
-        projection = ModelGraph.mlp(latent_dim, (), projection_dim, "identity",
+        projection = ModelGraph.mlp(latent_dim, (), PROJECTION_DIM, "identity",
                                     seed=derive_seed(seed, "cm-projection"))
     if "decoder" in flags:
         decoder = ModelGraph.mlp(latent_dim, (), input_dim, "identity",
@@ -90,7 +84,7 @@ def build_cmixup_model(
     if "classifier" in flags:
         classifier = ModelGraph.mlp(latent_dim, (), num_classes, "softmax",
                                     seed=derive_seed(seed, "cm-classifier"))
-    return CmixupModel(encoder, projection, decoder, classifier, frozenset(flags))
+    return CmixupModel(encoder, projection, decoder, classifier)
 
 
 def mix_latents(z_i: np.ndarray, z_j: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -112,12 +106,11 @@ class MixupBatch:
 def latent_mixup(
     latents: np.ndarray,
     labels: np.ndarray,
-    spec: MixupSpec,
     rng: np.random.Generator,
 ) -> MixupBatch:
     """Same-label pairs: each anchor with >= 2 members of its label draws
-    one partner; anchors without a same-label partner are silently skipped
-    (counted)."""
+    one partner and a weight from Beta(MIXUP_BETA_ALPHA, MIXUP_BETA_ALPHA);
+    anchors without a same-label partner are silently skipped (counted)."""
     labels = np.asarray(labels, dtype=np.int64)
     n = latents.shape[0]
     members: dict[int, np.ndarray] = {}
@@ -141,7 +134,7 @@ def latent_mixup(
                           np.empty(0), n_skipped)
     anchor_idx = np.array(anchors, dtype=np.int64)
     partner_idx = np.array(partners, dtype=np.int64)
-    lam = rng.beta(spec.beta_alpha, spec.beta_alpha, size=anchor_idx.size)
+    lam = rng.beta(MIXUP_BETA_ALPHA, MIXUP_BETA_ALPHA, size=anchor_idx.size)
     mixed = mix_latents(latents[anchor_idx], latents[partner_idx], lam)
     return MixupBatch(mixed, labels[anchor_idx], anchor_idx, partner_idx, lam, n_skipped)
 
@@ -197,16 +190,22 @@ def _knn_affinity(latents: np.ndarray, k: int) -> sp.csr_matrix:
         vals.append(-top[kept])
 
         # rows with fewer than k entries above a positive tau take the
-        # lowest-index entries equal to tau
+        # lowest-index entries equal to tau; every group whose maximum is tau
+        # holds one, so there are enough. They are scanned in column windows
+        # that start at [0, 4k) and double in width while a row is short.
         need = np.where(tau > 0, k - above, 0)
         short = np.flatnonzero(need > 0)
-        if short.size:
-            ties = sims[short] == tau[short, None]
+        lo, hi = 0, 4 * k
+        while short.size:
+            ties = sims[short, lo:hi] == tau[short, None]
             ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= need[short, None]
-            tr, tc = np.divmod(np.flatnonzero(ties), n)
+            tr, tc = np.nonzero(ties)
             rows.append(start + short[tr])
-            cols.append(tc)
+            cols.append(lo + tc)
             vals.append(tau[short[tr]])
+            need[short] -= np.count_nonzero(ties, axis=1)
+            short = short[need[short] > 0]
+            lo, hi = hi, hi + 2 * (hi - lo)
     w = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n))
     return w.maximum(w.T)
@@ -312,23 +311,18 @@ def encoder_train(
     y_lab: np.ndarray,
     x_unlab: np.ndarray,
     num_classes: int,
-    mixup: MixupSpec = MixupSpec(),
-    w_recon: float = 1.0,
-    w_supcon: float = 1.0,
-    w_clf: float = 0.5,
-    temperature: float = 0.1,
     warmup_epochs: int = 10,
     epochs: int = 20,
     knn_k: int = 50,
-    alpha_diff: float = 0.99,
     batch_size: int = 256,
     learning_rate: float = 1e-3,
     seed: int = 0,
 ) -> tuple[CmixupModel, PropagationResult, list[dict]]:
-    """First training step: reconstruction + same-label mixup contrastive
-    + classifier CE, with label propagation refreshing pseudo-labels once per
-    epoch after warmup. Before warmup only true-labeled rows feed the
-    contrastive and classifier terms.
+    """First training step: reconstruction + same-label mixup supervised
+    contrastive (temperature SUPCON_TEMPERATURE) + W_CLF * classifier CE, each
+    term only when its head exists. Label propagation, with propagate_labels'
+    alpha, refreshes pseudo-labels once per epoch after warmup; before warmup
+    only true-labeled rows feed the contrastive and classifier terms.
 
     Propagation runs on the encoder output. Returns the trained model, the
     propagation result on the final latents, and per-epoch mean losses.
@@ -347,12 +341,12 @@ def encoder_train(
     opts = {"encoder": make_optimizer(model.encoder, learning_rate)}
     for name in ("projection", "decoder", "classifier"):
         head = getattr(model, name)
-        if name in model.component_flags:
+        if head is not None:
             opts[name] = make_optimizer(head, learning_rate)
 
     def run_propagation() -> PropagationResult:
         return propagate_labels(model.latent(x_all), np.arange(n_lab), y_lab, num_classes,
-                                k=k_eff, alpha_diff=alpha_diff)
+                                k=k_eff)
 
     curve = []
     y_round = y_known.copy()  # labels available for mixup/supcon this epoch
@@ -371,35 +365,35 @@ def encoder_train(
             g_z = np.zeros_like(z)
             recon = supcon = clf = 0.0
 
-            if "decoder" in model.component_flags and w_recon > 0:
+            if model.decoder is not None:
                 dec_fwd = model.decoder.forward(z)
                 recon, g_rec = nn.loss_reconstruction(dec_fwd.output, xb)
-                g_dec, gz = model.decoder.backward(dec_fwd, w_recon * g_rec)
+                g_dec, gz = model.decoder.backward(dec_fwd, g_rec)
                 step(opts["decoder"], model.decoder, g_dec)
                 g_z += gz
 
-            if "classifier" in model.component_flags and w_clf > 0:
+            if model.classifier is not None:
                 lab_rows = np.flatnonzero(is_lab[idx])
                 if lab_rows.size:
                     clf_fwd = model.classifier.forward(z[lab_rows])
                     clf, g_ce = nn.loss_crossentropy(clf_fwd.output, y_known[idx[lab_rows]])
-                    g_clf, gz_lab = model.classifier.backward(clf_fwd, w_clf * g_ce)
+                    g_clf, gz_lab = model.classifier.backward(clf_fwd, W_CLF * g_ce)
                     step(opts["classifier"], model.classifier, g_clf)
                     g_z[lab_rows] += gz_lab
 
-            if "projection" in model.component_flags and w_supcon > 0:
+            if model.projection is not None:
                 use = np.flatnonzero(y_round[idx] >= 0)
                 if use.size >= 2:
                     zb = z[use]
                     yb = y_round[idx[use]]
-                    mix = latent_mixup(zb, yb, mixup, rng_mix)
+                    mix = latent_mixup(zb, yb, rng_mix)
                     stacked = np.concatenate([zb, mix.mixed]) if mix.mixed.size else zb
                     sc_labels = np.concatenate([yb, mix.labels]) if mix.mixed.size else yb
                     proj_fwd = model.projection.forward(stacked)
                     u = proj_fwd.output
                     zn = nn.l2_normalize_rows(u)
-                    supcon, g_zn = nn.loss_supcon(zn, sc_labels, temperature)
-                    g_u = nn.l2_normalize_rows_backward(u, w_supcon * g_zn)
+                    supcon, g_zn = nn.loss_supcon(zn, sc_labels, SUPCON_TEMPERATURE)
+                    g_u = nn.l2_normalize_rows_backward(u, g_zn)
                     g_proj, g_stack = model.projection.backward(proj_fwd, g_u)
                     step(opts["projection"], model.projection, g_proj)
                     gz_use = g_stack[: use.size].copy()
@@ -409,7 +403,7 @@ def encoder_train(
                         np.add.at(gz_use, mix.partner_idx, (1.0 - mix.lam)[:, None] * g_mix)
                     g_z[use] += gz_use
 
-            total = w_recon * recon + w_supcon * supcon + w_clf * clf
+            total = recon + supcon + W_CLF * clf
             if not np.isfinite(total):
                 raise TrainingDiverged("cmixup-encoder", epoch,
                                        f"recon={recon} supcon={supcon} clf={clf}")
@@ -428,7 +422,7 @@ def encoder_train(
 def classify(model: CmixupModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classifier-head predictions: argmax label (ties to the lowest index)
     and max-softmax confidence."""
-    if "classifier" not in model.component_flags:
+    if model.classifier is None:
         raise ValueError("classifier head is disabled on this model")
     probs = model.classifier.forward(model.latent(x)).output
     return probs.argmax(axis=1).astype(np.int64), probs.max(axis=1)

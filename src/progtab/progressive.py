@@ -37,9 +37,10 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     """Everything one progressive experiment needs; defaults follow the
-    reference setups (classifier loss weight 0.5, propagation threshold 0.9,
-    classifier threshold 0.8 = midpoint of the stated [0.7, 0.9] range,
-    5 runs for the vime pipeline and 4 for cmixup)."""
+    reference setups (propagation threshold 0.9, classifier threshold 0.8 =
+    midpoint of the stated [0.7, 0.9] range, 5 runs for the vime pipeline and
+    4 for cmixup). The loss weights, temperature and mixup alpha that no
+    experiment varies are constants in cmixup and vime."""
 
     name: str = ""
     pipeline: str = "vime"
@@ -49,19 +50,16 @@ class RunConfig:
     classifier_threshold: float = 0.8
     propagation_threshold: float = 0.9
     encoding: str = "cpr"
-    laplace_alpha: float = 1.0
     te_smoothing: float = 10.0
     seed: int = 0
     # network shapes and optimization
     latent_dim: int = 32
-    projection_dim: int = 32
     predictor_hidden: tuple[int, ...] = (256, 128)
     encoder_hidden: tuple[int, ...] = ()
     learning_rate: float = 1e-3
     batch_size: int = 256
     # vime step hyperparameters (also the second step of cmixup)
     p_mask: float = 0.3
-    alpha_mask: float = 1.0
     beta_consistency: float = 1.0
     k_corruptions: int = 3
     pretext_epochs: int = 10
@@ -69,15 +67,9 @@ class RunConfig:
     pretext_enabled: bool = True
     # cmixup first step
     component_flags: tuple[str, ...] = ("decoder", "projection", "classifier")
-    w_recon: float = 1.0
-    w_supcon: float = 1.0
-    w_clf: float = 0.5
-    supcon_temperature: float = 0.1
-    mixup_beta_alpha: float = 0.2
     warmup_epochs: int = 10
     encoder_epochs: int = 20
     knn_k: int = 50
-    alpha_diff: float = 0.99
 
     def __post_init__(self):
         if isinstance(self.predictor_hidden, list):
@@ -128,10 +120,21 @@ class RunConfig:
                 problems.append("cmixup needs at least one component flag")
         if not 0.0 <= self.p_mask <= 1.0:
             problems.append("p_mask must lie in [0, 1]")
-        if self.knn_k < 1:
-            problems.append("knn_k must be >= 1")
-        if not 0.0 <= self.alpha_diff < 1.0:
-            problems.append("alpha_diff must lie in [0, 1)")
+        for nm, low in (("knn_k", 1), ("batch_size", 2), ("latent_dim", 1),
+                        ("semisup_epochs", 1), ("pretext_epochs", 0),
+                        ("warmup_epochs", 0), ("encoder_epochs", 0)):
+            if getattr(self, nm) < low:
+                problems.append(f"{nm} must be >= {low}")
+        if min(self.predictor_hidden + self.encoder_hidden, default=1) < 1:
+            problems.append("hidden layer widths must be >= 1")
+        if not self.learning_rate > 0:
+            problems.append("learning_rate must be > 0")
+        if self.encoding == "target" and not self.te_smoothing > 0:
+            problems.append("te_smoothing must be > 0")
+        if self.beta_consistency < 0:
+            problems.append("beta_consistency must be >= 0")
+        elif self.beta_consistency > 0 and self.k_corruptions < 2:
+            problems.append("beta_consistency > 0 needs k_corruptions >= 2")
         return problems
 
 
@@ -194,7 +197,7 @@ def refine_pseudo_labels(
 
 def fit_table(ds: TabularDataset, rows: np.ndarray, labels: np.ndarray, config: RunConfig):
     if config.encoding == "cpr":
-        return fit_cpr(ds, rows, labels, alpha=config.laplace_alpha)
+        return fit_cpr(ds, rows, labels)
     if config.encoding == "target":
         return fit_target_encoding(ds, rows, labels, smoothing=config.te_smoothing)
     if config.encoding == "onehot":
@@ -282,8 +285,7 @@ def _train_vime_run(x, y, num_classes: int, split: DataSplit, config: RunConfig,
     spec = CorruptionSpec(config.p_mask, seed=seed)
     if config.pretext_enabled:
         _, pre_curve = vime.pretext_train(
-            model, xu, spec, alpha_mask=config.alpha_mask,
-            epochs=config.pretext_epochs, batch_size=config.batch_size,
+            model, xu, spec, epochs=config.pretext_epochs, batch_size=config.batch_size,
             learning_rate=config.learning_rate,
         )
         curves["pretext"] = _curve_to_json(pre_curve)
@@ -308,17 +310,12 @@ def _train_cmixup_run(x, y, num_classes: int, split: DataSplit, config: RunConfi
     curves = {}
     cm = cmixup.build_cmixup_model(
         x.shape[1], num_classes, latent_dim=config.latent_dim,
-        projection_dim=config.projection_dim, flags=config.component_flags,
-        encoder_hidden=config.encoder_hidden, seed=seed,
+        flags=config.component_flags, encoder_hidden=config.encoder_hidden, seed=seed,
     )
     cm, prop, enc_curve = cmixup.encoder_train(
-        cm, xl, yl, xu, num_classes,
-        mixup=cmixup.MixupSpec(config.mixup_beta_alpha),
-        w_recon=config.w_recon, w_supcon=config.w_supcon, w_clf=config.w_clf,
-        temperature=config.supcon_temperature, warmup_epochs=config.warmup_epochs,
+        cm, xl, yl, xu, num_classes, warmup_epochs=config.warmup_epochs,
         epochs=config.encoder_epochs, knn_k=config.knn_k,
-        alpha_diff=config.alpha_diff, batch_size=config.batch_size,
-        learning_rate=config.learning_rate, seed=seed,
+        batch_size=config.batch_size, learning_rate=config.learning_rate, seed=seed,
     )
     curves["encoder"] = _curve_to_json(enc_curve)
 
@@ -341,7 +338,7 @@ def _train_cmixup_run(x, y, num_classes: int, split: DataSplit, config: RunConfi
     prop_labels = prop.pseudo_label[n_lab:]
     prop_weights = prop.weight[n_lab:]
     clf_labels = clf_conf = None
-    if "classifier" in cm.component_flags:
+    if cm.classifier is not None:
         clf_labels, clf_conf = cmixup.classify(cm, xu)
     pls = PseudoLabelSet(split.unlabeled_idx, prop_labels,
                          classifier_conf=clf_conf, classifier_labels=clf_labels,

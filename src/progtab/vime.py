@@ -124,12 +124,11 @@ def pretext_train(
     model: VimeModel,
     x_unlab: np.ndarray,
     spec: CorruptionSpec,
-    alpha_mask: float = 1.0,
     epochs: int = 10,
     batch_size: int = 256,
     learning_rate: float = 1e-3,
 ) -> tuple[VimeModel, list[dict]]:
-    """Denoising pretext training: reconstruction MSE + alpha_mask * mask BCE.
+    """Denoising pretext training: reconstruction MSE + mask BCE.
 
     Returns the trained model and per-epoch mean losses.
     """
@@ -162,11 +161,11 @@ def pretext_train(
             recon, g_rec = nn.loss_reconstruction(fd_fwd.output, x)
             md_fwd = model.mask_decoder.forward(h)
             bce, g_bce = nn.loss_mask_bce(md_fwd.output, mask)
-            total = recon + alpha_mask * bce
+            total = recon + bce
             if not np.isfinite(total):
                 raise TrainingDiverged("pretext", epoch, f"recon={recon} mask_bce={bce}")
             g_fd, gh_rec = model.feature_decoder.backward(fd_fwd, g_rec)
-            g_md, gh_bce = model.mask_decoder.backward(md_fwd, alpha_mask * g_bce)
+            g_md, gh_bce = model.mask_decoder.backward(md_fwd, g_bce)
             g_enc, _ = model.encoder.backward(enc_fwd, gh_rec + gh_bce)
             step(opts["feature"], model.feature_decoder, g_fd)
             step(opts["mask"], model.mask_decoder, g_md)

@@ -54,11 +54,13 @@ class TestConfigParsing:
         assert cfg.methods[0].semisup_epochs == 7
 
     def test_unknown_field_rejected(self, tmp_path):
-        # the last six were RunConfig fields once; old configs must not
+        # all but the first were RunConfig fields once; old configs must not
         # silently lose them
         for field in ("bogus_field", "accumulate_pseudo_labels", "warm_start",
                       "optimizer", "propagation_source", "mixup_pairs_per_anchor",
-                      "fine_tune_encoder"):
+                      "fine_tune_encoder", "laplace_alpha", "projection_dim",
+                      "alpha_mask", "w_recon", "w_supcon", "w_clf",
+                      "supcon_temperature", "mixup_beta_alpha", "alpha_diff"):
             payload = tiny_payload(tmp_path, [
                 {"preset": "supervised", "overrides": {field: 1}}])
             with pytest.raises(Exception, match=field):
@@ -250,6 +252,10 @@ class TestCliEntry:
         out = capsys.readouterr().out
         assert "supcon" in out and "worst" in out
 
+    def test_gradcheck_zero_epsilon_exits_1(self, capsys):
+        assert main(["gradcheck", "--epsilon", "0"]) == 1
+        assert "--epsilon must be > 0" in capsys.readouterr().err
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) in (1, 2)
 
@@ -305,8 +311,13 @@ class TestCliEntry:
 
     @pytest.mark.parametrize("overrides,problem", [
         ({"knn_k": 0}, "knn_k must be >= 1"),
-        ({"alpha_diff": 1.0}, "alpha_diff must lie in [0, 1)"),
-        ({"alpha_diff": -0.1}, "alpha_diff must lie in [0, 1)"),
+        ({"batch_size": 1}, "batch_size must be >= 2"),
+        ({"batch_size": 0}, "batch_size must be >= 2"),
+        ({"encoding": "target", "te_smoothing": 0.0}, "te_smoothing must be > 0"),
+        ({"latent_dim": 0}, "latent_dim must be >= 1"),
+        ({"semisup_epochs": -1}, "semisup_epochs must be >= 1"),
+        ({"predictor_hidden": [0]}, "hidden layer widths must be >= 1"),
+        ({"k_corruptions": 1}, "beta_consistency > 0 needs k_corruptions >= 2"),
     ])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_bad_propagation_setting_exits_1(self, tmp_path, capsys, verb, overrides, problem):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from progtab import nn
+from progtab.cli import ABLATION_COMPONENTS
 from progtab.cmixup import (
-    MixupSpec,
     PropagationError,
     _knn_affinity,
     build_cmixup_model,
@@ -48,7 +48,7 @@ class TestLatentMixup:
         rng = np.random.default_rng(3)
         z = rng.normal(size=(20, 4))
         labels = rng.integers(0, 3, size=20)
-        mix = latent_mixup(z, labels, MixupSpec(), rng)
+        mix = latent_mixup(z, labels, rng)
         assert np.array_equal(mix.labels, labels[mix.anchor_idx])
         assert np.array_equal(labels[mix.anchor_idx], labels[mix.partner_idx])
         assert np.all(mix.anchor_idx != mix.partner_idx)
@@ -57,13 +57,13 @@ class TestLatentMixup:
         rng = np.random.default_rng(4)
         z = rng.normal(size=(4, 2))
         labels = np.array([0, 0, 1, 2])  # labels 1 and 2 are singletons
-        mix = latent_mixup(z, labels, MixupSpec(), rng)
+        mix = latent_mixup(z, labels, rng)
         assert mix.n_skipped == 2
         assert set(mix.anchor_idx.tolist()) <= {0, 1}
 
     def test_all_singletons(self):
         rng = np.random.default_rng(5)
-        mix = latent_mixup(rng.normal(size=(3, 2)), np.array([0, 1, 2]), MixupSpec(), rng)
+        mix = latent_mixup(rng.normal(size=(3, 2)), np.array([0, 1, 2]), rng)
         assert mix.mixed.shape == (0, 2)
         assert mix.n_skipped == 3
 
@@ -110,10 +110,20 @@ def assert_matches_dense_reference(latents, k):
 
 class TestKnnAffinity:
     # 3,000 rows take 1,398 rows per block: two full blocks and a short tail;
-    # k = 300 exceeds the 256 column groups, and k = 39 takes all other rows
-    @pytest.mark.parametrize("n,k", [(3000, 10), (40, 5), (700, 300), (40, 39)])
-    def test_matches_dense_reference(self, n, k):
-        assert_matches_dense_reference(np.random.default_rng(n).normal(size=(n, 6)), k)
+    # k = 300 exceeds the 256 column groups, k = 39 takes all other rows, and
+    # identical rows take all k neighbours from the tie fill
+    @pytest.mark.parametrize("n,k,identical", [
+        pytest.param(3000, 10, False, id="3000-10"),
+        pytest.param(40, 5, False, id="40-5"),
+        pytest.param(700, 300, False, id="700-300"),
+        pytest.param(40, 39, False, id="40-39"),
+        pytest.param(600, 50, True, id="identical-600-50"),
+    ])
+    def test_matches_dense_reference(self, n, k, identical):
+        latents = np.random.default_rng(n).normal(size=(n, 6))
+        if identical:
+            latents[:] = latents[0]
+        assert_matches_dense_reference(latents, k)
 
     # copies of one row tie at a positive similarity: 40 copies spread over
     # 40 column groups tie at the bound itself, 20 copies in 2 groups tie
@@ -223,7 +233,7 @@ class TestEncoderTrain:
         xl, yl, xu, _ = cluster_training_data(seed=1)
         model = build_cmixup_model(8, 2, latent_dim=16, flags=("decoder",), seed=1)
         model, _, curve = encoder_train(
-            model, xl, yl, xu, 2, w_supcon=0.0, warmup_epochs=2, epochs=6, knn_k=20, seed=1)
+            model, xl, yl, xu, 2, warmup_epochs=2, epochs=6, knn_k=20, seed=1)
         assert curve[-1]["reconstruction"] < curve[0]["reconstruction"]
         assert all(e["supcon"] == 0.0 for e in curve)
 
@@ -287,3 +297,9 @@ class TestModelFlags:
     def test_empty_flags_rejected(self):
         with pytest.raises(ValueError):
             build_cmixup_model(4, 2, flags=())
+
+    @pytest.mark.parametrize("flags", ABLATION_COMPONENTS)
+    def test_heads_follow_flags(self, flags):
+        model = build_cmixup_model(4, 2, flags=flags)
+        for head in ("decoder", "projection", "classifier"):
+            assert (getattr(model, head) is not None) == (head in flags)

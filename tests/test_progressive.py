@@ -242,13 +242,18 @@ class TestRunProgressive:
         assert back.config == report.config
 
     def test_report_with_removed_config_fields_loads(self):
-        # reports written before warm_start, optimizer and the other unused
-        # switches were removed carry them in their config dict
+        # reports written before warm_start, optimizer, the other unused
+        # switches and the fixed hyperparameters were removed carry them in
+        # their config dict
         ds, split = tiny_problem(seed=2)
         payload = json.loads(run_progressive(ds, split, tiny_config(seed=3)).to_json())
         payload["config"].update(accumulate_pseudo_labels=False, warm_start=False,
                                  optimizer="adam", propagation_source="encoder",
-                                 mixup_pairs_per_anchor=1, fine_tune_encoder=False)
+                                 mixup_pairs_per_anchor=1, fine_tune_encoder=False,
+                                 laplace_alpha=1.0, projection_dim=32, alpha_mask=1.0,
+                                 w_recon=1.0, w_supcon=1.0, w_clf=0.5,
+                                 supcon_temperature=0.1, mixup_beta_alpha=0.2,
+                                 alpha_diff=0.99)
         back = ExperimentReport.from_json(json.dumps(payload))
         assert back.config["warm_start"] is False
         assert back.final_test_accuracy == payload["final_test_accuracy"]
