@@ -21,8 +21,6 @@ import re
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import data as data_mod
 from . import nn
 from .data import DataError, SplitSpec, SyntheticSpec, TabularDataset, load_csv, make_split, synthesize_dataset
@@ -181,7 +179,7 @@ def _check_overrides(overrides: dict) -> dict:
     return overrides
 
 
-def parse_experiment_config(payload: dict, default_out: str | None = None) -> ExperimentConfig:
+def parse_experiment_config(payload: dict) -> ExperimentConfig:
     split_d = dict(payload.get("split", {}))
     unknown = set(split_d) - {f.name for f in dataclasses.fields(SplitSpec)}
     if unknown:
@@ -215,7 +213,7 @@ def parse_experiment_config(payload: dict, default_out: str | None = None) -> Ex
             cfg.name = entry.get("preset", "custom")
         methods.append(cfg)
     seeds = list(payload.get("seeds", DEFAULT_SEEDS))
-    out = payload.get("output_dir") or default_out or os.environ.get(OUTPUT_DIR_ENV, "progtab-out")
+    out = payload.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "progtab-out")
     return ExperimentConfig(dict(payload.get("dataset", {})), split, methods, seeds, out)
 
 
@@ -366,19 +364,16 @@ def emit_ratio_sweep(config: ExperimentConfig, ratios: list[float]):
     warnings: list[str] = []
     for ratio in ratios:
         split_spec = replace(config.split, labeled_fraction_of_train=ratio)
+        for seed in config.seeds:
+            if not make_split(ds, replace(split_spec, seed=seed)).stratified:
+                warnings.append(
+                    f"ratio {ratio} seed {seed}: stratification infeasible, "
+                    "plain random labeled subset in use")
+        summary = compare_runs([_run_pair((ds, split_spec, method, seed))
+                                for method in config.methods for seed in config.seeds])
         for method in config.methods:
-            accs = []
-            for seed in config.seeds:
-                split = make_split(ds, replace(split_spec, seed=seed))
-                if not split.stratified:
-                    warnings.append(
-                        f"ratio {ratio} seed {seed}: stratification infeasible, "
-                        "plain random labeled subset in use")
-                cfg = replace(method, seed=seed)
-                cfg.name = method.name
-                accs.append(run_progressive(ds, split, cfg).final_test_accuracy)
-            arr = np.array(accs)
-            rows.append((method.name, ratio, float(arr.mean()), float(arr.std()), len(accs)))
+            s = summary[method.name]
+            rows.append((method.name, ratio, s["mean"], s["std"], s["n_seeds"]))
     csv_lines = ["method,ratio,mean_acc,std_acc,n_seeds"]
     for name, ratio, mean, std, n in rows:
         csv_lines.append(f"{name},{ratio!r},{mean!r},{std!r},{n}")
@@ -407,7 +402,7 @@ def _load_config_file(path: str, args) -> ExperimentConfig:
             payload = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    cfg = parse_experiment_config(payload, default_out=args.out)
+    cfg = parse_experiment_config(payload)
     if args.out:
         cfg.output_dir = args.out
     if args.seeds:

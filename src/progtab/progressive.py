@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import __version__, cmixup, encoding, vime
+from . import __version__, cmixup, vime
 from .data import DataSplit, TabularDataset, apply_scaler, fit_scaler
 from .encoding import CountTable, encode, fit_cpr, fit_target_encoding
 from .nn import ModelGraph
@@ -27,7 +27,7 @@ DEFAULT_SEEDS = (123, 127, 131, 137)
 REFINEMENT_MODES = ("none", "classifier_threshold", "propagation_threshold",
                     "two_step_agreement")
 PIPELINES = ("vime", "cmixup")
-ENCODINGS = ("cpr", "target", "onehot", "label")
+ENCODINGS = ("cpr", "target")
 
 
 class ConfigError(ValueError):
@@ -195,25 +195,20 @@ def refine_pseudo_labels(
     return replace(pls, kept=kept)
 
 
-def fit_table(ds: TabularDataset, rows: np.ndarray, labels: np.ndarray, config: RunConfig):
-    if config.encoding == "cpr":
-        return fit_cpr(ds, rows, labels)
+def fit_table(ds: TabularDataset, rows: np.ndarray, labels: np.ndarray,
+              config: RunConfig) -> CountTable:
     if config.encoding == "target":
         return fit_target_encoding(ds, rows, labels, smoothing=config.te_smoothing)
-    if config.encoding == "onehot":
-        return encoding.one_hot_encoding(ds)
-    if config.encoding == "label":
-        return encoding.label_encoding(ds)
-    raise ConfigError(f"unknown encoding {config.encoding!r}")
+    return fit_cpr(ds, rows, labels)
 
 
 def update_representation(
     ds: TabularDataset,
-    base,
+    base: CountTable,
     kept: PseudoLabelSet,
     labeled_idx: np.ndarray,
     labeled_labels: np.ndarray,
-):
+) -> CountTable:
     """Rebuild the table's counts from scratch on D_L plus the kept
     pseudo-labels; its read rule is kept.
 
@@ -222,8 +217,6 @@ def update_representation(
     """
     rows = np.concatenate([np.asarray(labeled_idx, dtype=np.int64), kept.kept_rows()])
     labels = np.concatenate([np.asarray(labeled_labels, dtype=np.int64), kept.kept_labels()])
-    if not isinstance(base, CountTable):
-        return base  # one-hot / label encodings carry no label statistics
     return replace(base, counts=fit_cpr(ds, rows, labels).counts)
 
 
@@ -271,13 +264,11 @@ def _curve_to_json(curve: list[dict]) -> dict:
     return {k: [float(e[k]) for e in curve] for k in keys}
 
 
-def _train_vime_run(x, y, num_classes: int, split: DataSplit, config: RunConfig,
+def _train_vime_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConfig,
                     seed: int):
-    xl, yl = x[split.labeled_idx], y[split.labeled_idx]
-    xu = x[split.unlabeled_idx]
     curves = {}
     model = build_vime_model(
-        x.shape[1], num_classes, latent_dim=config.latent_dim,
+        xl.shape[1], num_classes, latent_dim=config.latent_dim,
         predictor_hidden=config.predictor_hidden,
         encoder_hidden=config.encoder_hidden, seed=seed,
         with_encoder=config.pretext_enabled,
@@ -296,20 +287,18 @@ def _train_vime_run(x, y, num_classes: int, split: DataSplit, config: RunConfig,
     )
     curves["semisup"] = _curve_to_json(semi_curve)
     pl_labels, pl_conf = vime.predict(model, xu)
-    pls = PseudoLabelSet(split.unlabeled_idx, pl_labels,
+    pls = PseudoLabelSet(unlabeled_idx, pl_labels,
                          classifier_conf=pl_conf, classifier_labels=pl_labels)
     return model, pls, curves
 
 
-def _train_cmixup_run(x, y, num_classes: int, split: DataSplit, config: RunConfig,
+def _train_cmixup_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConfig,
                       seed: int):
     """Returns the step-2 model (the trained encoder plus a predictor), the
     pseudo-labels and the loss curves."""
-    xl, yl = x[split.labeled_idx], y[split.labeled_idx]
-    xu = x[split.unlabeled_idx]
     curves = {}
     cm = cmixup.build_cmixup_model(
-        x.shape[1], num_classes, latent_dim=config.latent_dim,
+        xl.shape[1], num_classes, latent_dim=config.latent_dim,
         flags=config.component_flags, encoder_hidden=config.encoder_hidden, seed=seed,
     )
     cm, prop, enc_curve = cmixup.encoder_train(
@@ -334,13 +323,13 @@ def _train_cmixup_run(x, y, num_classes: int, split: DataSplit, config: RunConfi
     curves["semisup"] = _curve_to_json(semi_curve)
 
     # pseudo-labels: propagation over [labeled; unlabeled] order, unlabeled tail
-    n_lab = split.labeled_idx.size
+    n_lab = xl.shape[0]
     prop_labels = prop.pseudo_label[n_lab:]
     prop_weights = prop.weight[n_lab:]
     clf_labels = clf_conf = None
     if cm.classifier is not None:
         clf_labels, clf_conf = cmixup.classify(cm, xu)
-    pls = PseudoLabelSet(split.unlabeled_idx, prop_labels,
+    pls = PseudoLabelSet(unlabeled_idx, prop_labels,
                          classifier_conf=clf_conf, classifier_labels=clf_labels,
                          propagation_weight=prop_weights)
     return vm, pls, curves
@@ -351,27 +340,29 @@ def run_progressive(ds: TabularDataset, split: DataSplit, config: RunConfig) -> 
 
     Run 1 always uses the table fit on the labeled rows only; after each run
     pseudo-labels are produced, refined, and (when updates are enabled) the
-    table is rebuilt and all rows re-encoded before the next run.
+    table is rebuilt before the next run. Each run encodes the split's rows
+    once, in partition order (labeled, unlabeled, test), and the trainers and
+    the test read contiguous views of that one matrix.
     """
     problems = config.validate()
     if problems:
         raise ConfigError("; ".join(problems))
     t0 = time.perf_counter()
     y = ds.labels
-    scaler = fit_scaler(ds, split.train_idx) if ds.numeric_columns() else None
-    dss = apply_scaler(ds, scaler) if scaler else ds
+    dss = apply_scaler(ds, fit_scaler(ds, split.train_idx))
     labeled_labels = y[split.labeled_idx]
     base_table = fit_table(dss, split.labeled_idx, labeled_labels, config)
     table = base_table
-    all_rows = np.arange(ds.n_rows)
+    rows = np.concatenate([split.labeled_idx, split.unlabeled_idx, split.test_idx])
+    bounds = np.cumsum([split.labeled_idx.size, split.unlabeled_idx.size])
     n_runs = config.resolved_n_runs()
     train_run = _train_vime_run if config.pipeline == "vime" else _train_cmixup_run
     runs: list[RunMetrics] = []
     for run_i in range(1, n_runs + 1):
-        x = encode(dss, all_rows, table).matrix
-        model, pls, curves = train_run(x, y, ds.num_classes, split, config,
-                                       run_seed(config.seed, run_i))
-        test_acc = vime.accuracy(model, x[split.test_idx], y[split.test_idx])
+        xl, xu, xt = np.split(encode(dss, rows, table).matrix, bounds)
+        model, pls, curves = train_run(xl, labeled_labels, xu, split.unlabeled_idx,
+                                       ds.num_classes, config, run_seed(config.seed, run_i))
+        test_acc = vime.accuracy(model, xt, y[split.test_idx])
 
         refined = refine_pseudo_labels(pls, config.refinement_mode,
                                        config.classifier_threshold,

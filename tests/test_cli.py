@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +199,21 @@ class TestRatioSweep:
         assert lines[0] == "method,ratio,mean_acc,std_acc,n_seeds"
         assert len(lines) == 11
 
+    def test_one_warning_per_ratio_and_seed(self, tmp_path, monkeypatch):
+        import progtab.cli as cli_mod
+
+        real_split = cli_mod.make_split
+        monkeypatch.setattr(cli_mod, "make_split",
+                            lambda ds, spec: replace(real_split(ds, spec), stratified=False))
+        payload = tiny_payload(tmp_path, [
+            {"preset": "supervised", "overrides": fast_overrides()},
+            {"preset": "vime_semi", "overrides": fast_overrides()},
+        ], seeds=(0, 1), n_rows=300)
+        rows, warnings = emit_ratio_sweep(parse_experiment_config(payload), [0.3])
+        assert len(rows) == 2
+        assert warnings == [f"ratio 0.3 seed {seed}: stratification infeasible, "
+                            "plain random labeled subset in use" for seed in (0, 1)]
+
     def test_bad_ratio_rejected(self, tmp_path):
         payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
         cfg = parse_experiment_config(payload)
@@ -225,6 +242,26 @@ class TestCliEntry:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--config", str(cfg_path), "--jobs", "2"])
         assert exc.value.code == 2
+
+    def test_jobs_match_serial_run(self, tmp_path):
+        outputs = []
+        for jobs in (1, 2):
+            payload = tiny_payload(tmp_path / f"jobs{jobs}", [
+                {"preset": "supervised", "overrides": fast_overrides()},
+                {"preset": "vime_semi", "overrides": fast_overrides()},
+            ], seeds=(0, 1), n_rows=300)
+            cfg_path = tmp_path / f"cfg{jobs}.json"
+            cfg_path.write_text(json.dumps(payload))
+            assert main(["run", "--config", str(cfg_path), "--jobs", str(jobs)]) == 0
+            out = Path(payload["output_dir"])
+            reports = {}
+            for name in sorted(os.listdir(out / "reports")):
+                report = json.loads((out / "reports" / name).read_text())
+                del report["wall_clock_s"]
+                reports[name] = report
+            outputs.append(((out / "results.md").read_text(), reports))
+        assert len(outputs[0][1]) == 4
+        assert outputs[0] == outputs[1]
 
     def test_run_verb(self, tmp_path, capsys):
         payload = tiny_payload(tmp_path, [
@@ -318,6 +355,8 @@ class TestCliEntry:
         ({"semisup_epochs": -1}, "semisup_epochs must be >= 1"),
         ({"predictor_hidden": [0]}, "hidden layer widths must be >= 1"),
         ({"k_corruptions": 1}, "beta_consistency > 0 needs k_corruptions >= 2"),
+        ({"encoding": "onehot"}, "unknown encoding 'onehot'"),
+        ({"encoding": "label"}, "unknown encoding 'label'"),
     ])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_bad_propagation_setting_exits_1(self, tmp_path, capsys, verb, overrides, problem):
@@ -329,6 +368,16 @@ class TestCliEntry:
         captured = capsys.readouterr()
         assert problem in captured.out + captured.err
         assert "config ok" not in captured.out
+
+
+class TestReadme:
+    def test_example_config_validates(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(example)
+        assert main(["validate", "--config", str(cfg_path)]) == 0
+        assert "config ok" in capsys.readouterr().out
 
 
 class TestPresetDatasets:

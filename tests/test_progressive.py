@@ -282,6 +282,19 @@ class TestRunProgressive:
         for r in report.runs:
             assert sum(r.weight_histogram) == split.unlabeled_idx.size
 
+    def test_categorical_only_dataset_runs(self):
+        # no numeric column: the scaler has nothing to scale and every
+        # feature is a count-table block
+        ds = synthesize_dataset(SyntheticSpec(300, 2, 10, 0, 3, 1.2, 6))
+        split = make_split(ds, SplitSpec(0.8, 0.2, 6))
+        for cfg in (tiny_config(seed=6),
+                    tiny_config(pipeline="cmixup", seed=6, warmup_epochs=1,
+                                encoder_epochs=2, knn_k=10,
+                                refinement_mode="two_step_agreement")):
+            report = run_progressive(ds, split, cfg)
+            assert len(report.runs) == 2
+            assert all(0.0 <= r.test_accuracy <= 1.0 for r in report.runs)
+
     def test_invalid_config_rejected(self):
         ds, split = tiny_problem(seed=4)
         with pytest.raises(ConfigError):
@@ -361,3 +374,41 @@ class TestUpdateDisabledNeverMutates:
         assert calls == []
         run_progressive(ds, split, tiny_config(n_runs=3, update_enabled=True, seed=9))
         assert len(calls) == 2  # rebuilt between runs only
+
+
+class TestPartitionViews:
+    @pytest.mark.parametrize("pipeline,trainer", [("vime", "_train_vime_run"),
+                                                  ("cmixup", "_train_cmixup_run")])
+    def test_partitions_are_views_of_one_matrix_per_run(self, monkeypatch, pipeline,
+                                                        trainer):
+        import progtab.progressive as prog_mod
+        from progtab import vime as vime_mod
+
+        seen = []
+        original_trainer = getattr(prog_mod, trainer)
+        original_accuracy = vime_mod.accuracy
+
+        def trainer_spy(xl, yl, xu, *args):
+            seen.append([xl, xu])
+            return original_trainer(xl, yl, xu, *args)
+
+        def accuracy_spy(model, xt, y):
+            seen[-1].append(xt)
+            return original_accuracy(model, xt, y)
+
+        monkeypatch.setattr(prog_mod, trainer, trainer_spy)
+        monkeypatch.setattr(vime_mod, "accuracy", accuracy_spy)
+        ds, split = tiny_problem(seed=9)
+        cfg = tiny_config(pipeline=pipeline, seed=9, warmup_epochs=1, encoder_epochs=2,
+                          knn_k=10, refinement_mode="none")
+        run_progressive(ds, split, cfg)
+        assert len(seen) == 2
+        sizes = (split.labeled_idx.size, split.unlabeled_idx.size, split.test_idx.size)
+        for parts in seen:
+            matrix = parts[0].base
+            assert matrix is not None and matrix.shape[0] == sum(sizes)
+            assert tuple(p.shape[0] for p in parts) == sizes
+            assert all(np.shares_memory(p, matrix) for p in parts)
+            # labeled, unlabeled, test: one contiguous partition order
+            assert np.array_equal(np.concatenate(parts), matrix)
+        assert not np.shares_memory(seen[0][0].base, seen[1][0].base)
