@@ -40,6 +40,7 @@ SYNTHETIC_PRESETS = {
     "medium": SyntheticSpec(20_000, 4, 500, 2, 4, 1.2, 1001),
     "highcard": SyntheticSpec(50_000, 2, 5_000, 2, 4, 1.5, 1002),
 }
+SPLIT_DEFAULTS = {"train_fraction": 0.8, "labeled_fraction_of_train": 0.1, "seed": 0}
 
 
 def method_presets() -> dict[str, RunConfig]:
@@ -122,6 +123,9 @@ class ExperimentConfig:
             problems.append("no methods configured")
         if not self.seeds:
             problems.append("no seeds configured")
+        elif not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                     for s in self.seeds) or len(set(self.seeds)) != len(self.seeds):
+            problems.append(f"seeds must be distinct non-negative integers, got {self.seeds}")
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             problems.append("method names must be unique")
@@ -179,42 +183,57 @@ def _check_overrides(overrides: dict) -> dict:
     return overrides
 
 
+def _section(payload: dict, key: str, kind: type, default):
+    """payload[key], or default when absent; a wrong JSON type is a config error."""
+    if key not in payload:
+        return default
+    value = payload[key]
+    if not isinstance(value, kind):
+        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
+        raise ConfigError(f"{key} must be {expected}, got {json.dumps(value)}")
+    return value
+
+
 def parse_experiment_config(payload: dict) -> ExperimentConfig:
-    split_d = dict(payload.get("split", {}))
-    unknown = set(split_d) - {f.name for f in dataclasses.fields(SplitSpec)}
+    if not isinstance(payload, dict):
+        raise ConfigError(f"an experiment config must be an object, got {type(payload).__name__}")
+    split_d = {**SPLIT_DEFAULTS, **_section(payload, "split", dict, {})}
+    unknown = set(split_d) - set(SPLIT_DEFAULTS)
     if unknown:
         raise ConfigError(f"unknown split keys {sorted(unknown)}")
-    split = SplitSpec(
-        split_d.get("train_fraction", 0.8),
-        split_d.get("labeled_fraction_of_train", 0.1),
-        split_d.get("seed", 0),
-    )
+    for key, value in split_d.items():
+        if not _fits(value, SPLIT_DEFAULTS[key]):
+            raise ConfigError(f"split {key} takes a number, got {json.dumps(value)}")
+    split = SplitSpec(**split_d)
     presets = method_presets()
     methods = []
-    for entry in payload.get("methods", []):
+    for entry in _section(payload, "methods", list, []):
         if isinstance(entry, str):
             entry = {"preset": entry}
-        if entry.get("preset") == "cmixup_ablation_matrix":
-            base = RunConfig(pipeline="cmixup", **_check_overrides(entry.get("overrides", {})))
+        if not isinstance(entry, dict):
+            raise ConfigError(f"a method must be a preset name or an object, got {entry!r}")
+        preset = _section(entry, "preset", str, None)
+        if preset == "cmixup_ablation_matrix":
+            base = RunConfig(pipeline="cmixup", **_check_overrides(
+                _section(entry, "overrides", dict, {})))
             methods.extend(ablation_methods(base))
             continue
-        if "preset" in entry:
-            if entry["preset"] not in presets:
-                raise ConfigError(f"unknown method preset {entry['preset']!r}")
-            cfg = replace(presets[entry["preset"]])
+        if preset is not None:
+            if preset not in presets:
+                raise ConfigError(f"unknown method preset {preset!r}")
+            cfg = replace(presets[preset])
         else:
             cfg = RunConfig()
-        overrides = dict(entry.get("overrides", {}))
-        overrides.update(entry.get("config", {}))
+        overrides = {**_section(entry, "overrides", dict, {}),
+                     **_section(entry, "config", dict, {})}
         cfg = replace(cfg, **_check_overrides(overrides))
-        if "name" in entry:
-            cfg.name = entry["name"]
-        if not cfg.name:
-            cfg.name = entry.get("preset", "custom")
+        cfg.name = _section(entry, "name", str, cfg.name) or preset or "custom"
         methods.append(cfg)
-    seeds = list(payload.get("seeds", DEFAULT_SEEDS))
-    out = payload.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, "progtab-out")
-    return ExperimentConfig(dict(payload.get("dataset", {})), split, methods, seeds, out)
+    seeds = _section(payload, "seeds", list, list(DEFAULT_SEEDS))
+    out = (_section(payload, "output_dir", str, "")
+           or os.environ.get(OUTPUT_DIR_ENV, "progtab-out"))
+    return ExperimentConfig(dict(_section(payload, "dataset", dict, {})), split, methods,
+                            seeds, out)
 
 
 def _synthetic_spec(fields) -> SyntheticSpec:
@@ -275,17 +294,8 @@ def format_cell(mean: float, std: float) -> str:
 def render_table(reports: list[ExperimentReport], method_order: list[str] | None = None) -> ResultsTable:
     summary = compare_runs(reports)
     methods = method_order or sorted(summary)
-    cells = {}
-    for m in methods:
-        s = summary[m]
-        cells[m] = {
-            "mean": s["mean"],
-            "std": s["std"],
-            "n_seeds": s["n_seeds"],
-            "raw": s["raw"],
-            "seeds": s["seeds"],
-            "formatted": format_cell(s["mean"], s["std"]),
-        }
+    cells = {m: {**summary[m], "formatted": format_cell(summary[m]["mean"], summary[m]["std"])}
+             for m in methods}
     return ResultsTable(methods, "final_test_accuracy", cells)
 
 

@@ -110,33 +110,26 @@ def latent_mixup(
 ) -> MixupBatch:
     """Same-label pairs: each anchor with >= 2 members of its label draws
     one partner and a weight from Beta(MIXUP_BETA_ALPHA, MIXUP_BETA_ALPHA);
-    anchors without a same-label partner are silently skipped (counted)."""
+    anchors without a same-label partner are skipped (counted).
+
+    With the rows of each label in index order, an anchor's partner is the
+    member rng.integers(1, size) places after it, cyclically: uniform over
+    the label's other members, never the anchor itself. Anchors ascend."""
     labels = np.asarray(labels, dtype=np.int64)
-    n = latents.shape[0]
-    members: dict[int, np.ndarray] = {}
-    for lbl in np.unique(labels):
-        members[int(lbl)] = np.flatnonzero(labels == lbl)
-    anchors, partners = [], []
-    n_skipped = 0
-    for i in range(n):
-        group = members[int(labels[i])]
-        if group.size < 2:
-            n_skipped += 1
-            continue
-        j = i
-        while j == i:
-            j = int(group[rng.integers(0, group.size)])
-        anchors.append(i)
-        partners.append(j)
-    if not anchors:
-        empty = np.empty(0, dtype=np.int64)
-        return MixupBatch(np.empty((0, latents.shape[1])), empty, empty, empty,
-                          np.empty(0), n_skipped)
-    anchor_idx = np.array(anchors, dtype=np.int64)
-    partner_idx = np.array(partners, dtype=np.int64)
+    _, group, size = np.unique(labels, return_inverse=True, return_counts=True)
+    # order lists the rows label by label; a row's rank is its place in its label
+    order = np.argsort(group, kind="stable")
+    first = np.cumsum(size) - size
+    rank = np.empty(labels.size, dtype=np.int64)
+    rank[order] = np.arange(labels.size) - np.repeat(first, size)
+    anchor_idx = np.flatnonzero(size[group] >= 2)
+    g = group[anchor_idx]
+    shift = rng.integers(1, size[g])
+    partner_idx = order[first[g] + (rank[anchor_idx] + shift) % size[g]]
     lam = rng.beta(MIXUP_BETA_ALPHA, MIXUP_BETA_ALPHA, size=anchor_idx.size)
     mixed = mix_latents(latents[anchor_idx], latents[partner_idx], lam)
-    return MixupBatch(mixed, labels[anchor_idx], anchor_idx, partner_idx, lam, n_skipped)
+    return MixupBatch(mixed, labels[anchor_idx], anchor_idx, partner_idx, lam,
+                      labels.size - anchor_idx.size)
 
 
 # similarities held at once while building the kNN graph: 4M float64 (32 MB)
@@ -329,11 +322,11 @@ def encoder_train(
     """
     rng_shuffle = seeded_rng(seed, "cm-shuffle")
     rng_mix = seeded_rng(seed, "cm-mixup")
-    n_lab, n_unlab = x_lab.shape[0], x_unlab.shape[0]
-    x_all = np.concatenate([x_lab, x_unlab]) if n_unlab else x_lab.copy()
+    n_lab = x_lab.shape[0]
+    x_all = np.concatenate([x_lab, x_unlab])
     n = x_all.shape[0]
-    is_lab = np.zeros(n, dtype=bool)
-    is_lab[:n_lab] = True
+    # labeled rows come first (idx < n_lab); unlabeled ones read -1 until
+    # propagation's pseudo-labels replace the vector after warmup
     y_known = np.full(n, -1, dtype=np.int64)
     y_known[:n_lab] = y_lab
     k_eff = min(knn_k, max(1, n // 2))
@@ -349,11 +342,9 @@ def encoder_train(
                                 k=k_eff)
 
     curve = []
-    y_round = y_known.copy()  # labels available for mixup/supcon this epoch
     for epoch in range(epochs):
         if epoch >= warmup_epochs:
-            prop = run_propagation()
-            y_round = prop.pseudo_label.copy()
+            y_known = run_propagation().pseudo_label
         order = rng_shuffle.permutation(n)
         sums = np.zeros(3)
         n_batches = 0
@@ -373,7 +364,7 @@ def encoder_train(
                 g_z += gz
 
             if model.classifier is not None:
-                lab_rows = np.flatnonzero(is_lab[idx])
+                lab_rows = np.flatnonzero(idx < n_lab)
                 if lab_rows.size:
                     clf_fwd = model.classifier.forward(z[lab_rows])
                     clf, g_ce = nn.loss_crossentropy(clf_fwd.output, y_known[idx[lab_rows]])
@@ -382,25 +373,23 @@ def encoder_train(
                     g_z[lab_rows] += gz_lab
 
             if model.projection is not None:
-                use = np.flatnonzero(y_round[idx] >= 0)
+                use = np.flatnonzero(y_known[idx] >= 0)
                 if use.size >= 2:
                     zb = z[use]
-                    yb = y_round[idx[use]]
+                    yb = y_known[idx[use]]
                     mix = latent_mixup(zb, yb, rng_mix)
-                    stacked = np.concatenate([zb, mix.mixed]) if mix.mixed.size else zb
-                    sc_labels = np.concatenate([yb, mix.labels]) if mix.mixed.size else yb
-                    proj_fwd = model.projection.forward(stacked)
+                    proj_fwd = model.projection.forward(np.concatenate([zb, mix.mixed]))
                     u = proj_fwd.output
                     zn = nn.l2_normalize_rows(u)
-                    supcon, g_zn = nn.loss_supcon(zn, sc_labels, SUPCON_TEMPERATURE)
+                    supcon, g_zn = nn.loss_supcon(zn, np.concatenate([yb, mix.labels]),
+                                                  SUPCON_TEMPERATURE)
                     g_u = nn.l2_normalize_rows_backward(u, g_zn)
                     g_proj, g_stack = model.projection.backward(proj_fwd, g_u)
                     step(opts["projection"], model.projection, g_proj)
-                    gz_use = g_stack[: use.size].copy()
-                    if mix.mixed.size:
-                        g_mix = g_stack[use.size:]
-                        np.add.at(gz_use, mix.anchor_idx, mix.lam[:, None] * g_mix)
-                        np.add.at(gz_use, mix.partner_idx, (1.0 - mix.lam)[:, None] * g_mix)
+                    # anchors are distinct; partners may repeat
+                    gz_use, g_mix = g_stack[:use.size], g_stack[use.size:]
+                    gz_use[mix.anchor_idx] += mix.lam[:, None] * g_mix
+                    np.add.at(gz_use, mix.partner_idx, (1.0 - mix.lam)[:, None] * g_mix)
                     g_z[use] += gz_use
 
             total = recon + supcon + W_CLF * clf

@@ -268,27 +268,23 @@ def loss_supcon(
     if n == 0:
         return 0.0, np.zeros_like(z)
     sims = (z @ z.T) / temperature
-    same = labels[:, None] == labels[None, :]
-    off_diag = ~np.eye(n, dtype=bool)
-    pos_mask = same & off_diag
+    np.fill_diagonal(sims, -np.inf)  # an anchor is not its own candidate
+    pos_mask = labels[:, None] == labels[None, :]
+    np.fill_diagonal(pos_mask, False)
     n_pos = pos_mask.sum(axis=1)
     anchors = n_pos > 0
     n_anchors = int(anchors.sum())
     if n_anchors == 0:
         return 0.0, np.zeros_like(z)
 
-    neg_inf = -np.inf
-    masked = np.where(off_diag, sims, neg_inf)
-    row_max = masked.max(axis=1, keepdims=True)
-    exp = np.where(off_diag, np.exp(masked - row_max), 0.0)
+    row_max = sims.max(axis=1, keepdims=True)
+    exp = np.exp(sims - row_max)
     log_denom = np.log(exp.sum(axis=1, keepdims=True)) + row_max
-    log_prob = sims - log_denom  # valid off-diagonal
+    log_prob = sims - log_denom
+    np.fill_diagonal(log_prob, 0.0)  # -inf there, and never a positive
 
-    per_anchor = np.zeros(n)
-    per_anchor[anchors] = -(
-        (log_prob * pos_mask).sum(axis=1)[anchors] / n_pos[anchors]
-    )
-    loss = float(per_anchor[anchors].mean())
+    per_anchor = -(log_prob * pos_mask).sum(axis=1)[anchors] / n_pos[anchors]
+    loss = float(per_anchor.mean())
 
     # dL/ds_ij for anchor rows: softmax over non-self minus the positive mass
     softmax = exp / exp.sum(axis=1, keepdims=True)
@@ -383,44 +379,12 @@ def gradcheck_cases(batch: int = 6, dim: int = 5):
     models whose relu pre-activations sit away from kinks at the default FD
     step. loss_fn(model) -> (loss, flat gradient); suitable for gradcheck()."""
     rng = np.random.default_rng(42)
-    cases = []
-
     x = rng.normal(size=(batch, dim))
     y = rng.integers(0, 3, size=batch)
-    ce_model = ModelGraph.mlp(dim, (7,), 3, "softmax", seed=3)
-
-    def ce_fn(m):
-        fwd = m.forward(x)
-        loss, g = loss_crossentropy(fwd.output, y)
-        grads, _ = m.backward(fwd, g)
-        return loss, grads
-
-    cases.append(("crossentropy", ce_model, ce_fn))
-
     target = rng.normal(size=(batch, dim))
-    mse_model = ModelGraph.mlp(dim, (4,), dim, "identity", seed=4)
-
-    def mse_fn(m):
-        fwd = m.forward(x)
-        loss, g = loss_reconstruction(fwd.output, target)
-        grads, _ = m.backward(fwd, g)
-        return loss, grads
-
-    cases.append(("reconstruction", mse_model, mse_fn))
-
     mask = (rng.random((batch, dim)) < 0.4).astype(float)
-    bce_model = ModelGraph.mlp(dim, (4,), dim, "identity", seed=5)
-
-    def bce_fn(m):
-        fwd = m.forward(x)
-        loss, g = loss_mask_bce(fwd.output, mask)
-        grads, _ = m.backward(fwd, g)
-        return loss, grads
-
-    cases.append(("mask_bce", bce_model, bce_fn))
-
     xk = rng.normal(size=(3, batch, dim))
-    cons_model = ModelGraph.mlp(dim, (6,), 3, "softmax", seed=6)
+    labels = np.array([0, 0, 1, 1, 0, 1])[:batch]
 
     def cons_fn(m):
         fwds = [m.forward(xk[k]) for k in range(3)]
@@ -432,18 +396,26 @@ def gradcheck_cases(batch: int = 6, dim: int = 5):
             total += gk
         return loss, total
 
-    cases.append(("consistency", cons_model, cons_fn))
+    def chained(loss):
+        """loss_fn(model) on x for loss(output) -> (value, dL/d(output))."""
+        def fn(m):
+            fwd = m.forward(x)
+            value, g = loss(fwd.output)
+            grads, _ = m.backward(fwd, g)
+            return value, grads
+        return fn
 
-    labels = np.array([0, 0, 1, 1, 0, 1])[:batch]
-    sup_model = ModelGraph.mlp(dim, (8,), 4, "identity", seed=17)
+    def supcon(u):
+        loss, gz = loss_supcon(l2_normalize_rows(u), labels, temperature=0.4)
+        return loss, l2_normalize_rows_backward(u, gz)
 
-    def sup_fn(m):
-        fwd = m.forward(x)
-        z = l2_normalize_rows(fwd.output)
-        loss, gz = loss_supcon(z, labels, temperature=0.4)
-        g = l2_normalize_rows_backward(fwd.output, gz)
-        grads, _ = m.backward(fwd, g)
-        return loss, grads
-
-    cases.append(("supcon", sup_model, sup_fn))
-    return cases
+    return [
+        ("crossentropy", ModelGraph.mlp(dim, (7,), 3, "softmax", seed=3),
+         chained(lambda p: loss_crossentropy(p, y))),
+        ("reconstruction", ModelGraph.mlp(dim, (4,), dim, "identity", seed=4),
+         chained(lambda out: loss_reconstruction(out, target))),
+        ("mask_bce", ModelGraph.mlp(dim, (4,), dim, "identity", seed=5),
+         chained(lambda logits: loss_mask_bce(logits, mask))),
+        ("consistency", ModelGraph.mlp(dim, (6,), 3, "softmax", seed=6), cons_fn),
+        ("supcon", ModelGraph.mlp(dim, (8,), 4, "identity", seed=17), chained(supcon)),
+    ]

@@ -325,6 +325,50 @@ class TestCliEntry:
         assert "config ok" not in captured.out
 
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: [p], "experiment config must be an object"),
+        (lambda p: {**p, "methods": [3]}, "a method must be a preset name or an object"),
+        (lambda p: {**p, "split": [0.8, 0.1]}, "split must be an object"),
+        (lambda p: {**p, "split": {**p["split"], "train_fraction": "0.8"}},
+         'split train_fraction takes a number, got "0.8"'),
+        (lambda p: {**p, "dataset": "small"}, "dataset must be an object"),
+        (lambda p: {**p, "methods": [{"preset": "supervised", "overrides": [1]}]},
+         "overrides must be an object"),
+        (lambda p: {**p, "methods": [{"preset": ["supervised"]}]}, "preset must be a string"),
+        (lambda p: {**p, "methods": [{"preset": "supervised", "name": 5}]},
+         "name must be a string"),
+        (lambda p: {**p, "output_dir": 5}, "output_dir must be a string"),
+        (lambda p: {**p, "seeds": 0}, "seeds must be a list"),
+        (lambda p: {**p, "seeds": [-1]}, "seeds must be distinct non-negative integers"),
+        (lambda p: {**p, "seeds": ["a"]}, "seeds must be distinct non-negative integers"),
+        (lambda p: {**p, "seeds": [True]}, "seeds must be distinct non-negative integers"),
+        (lambda p: {**p, "seeds": [0, 0]}, "seeds must be distinct non-negative integers"),
+    ], ids=["top-level-list", "method-number", "split-list", "split-fraction-string",
+            "dataset-string", "overrides-list", "preset-list", "name-number",
+            "output-dir-number", "seeds-number", "negative-seed", "string-seed", "bool-seed",
+            "repeated-seed"])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, edit, message, verb):
+        payload = edit(tiny_payload(tmp_path, [{"preset": "supervised"}]))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.out + captured.err
+        assert "config ok" not in captured.out
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds", ["0,0", "-1"])
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_bad_seeds_flag_exits_1(self, tmp_path, capsys, seeds, verb):
+        payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([verb, "--config", str(cfg_path), f"--seeds={seeds}"]) == 1
+        captured = capsys.readouterr()
+        assert "seeds must be distinct non-negative integers" in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_missing_csv_exits_1(self, tmp_path, capsys, verb):
         payload = tiny_payload(tmp_path, [{"preset": "supervised"}])

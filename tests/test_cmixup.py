@@ -67,6 +67,39 @@ class TestLatentMixup:
         assert mix.mixed.shape == (0, 2)
         assert mix.n_skipped == 3
 
+    # a 5-group, a pair and a singleton, interleaved
+    GROUPS = np.array([7, 2, 7, 9, 7, 2, 7, 7])
+
+    def test_groups_of_one_two_and_five(self):
+        rng = np.random.default_rng(6)
+        z = rng.normal(size=(8, 3))
+        for _ in range(50):
+            mix = latent_mixup(z, self.GROUPS, rng)
+            assert np.array_equal(mix.anchor_idx, [0, 1, 2, 4, 5, 6, 7])
+            assert mix.n_skipped == 1
+            assert np.all(mix.partner_idx != mix.anchor_idx)
+            assert np.array_equal(self.GROUPS[mix.partner_idx], self.GROUPS[mix.anchor_idx])
+            assert np.array_equal(mix.labels, self.GROUPS[mix.anchor_idx])
+            pairs = dict(zip(mix.anchor_idx.tolist(), mix.partner_idx.tolist()))
+            assert pairs[1] == 5 and pairs[5] == 1
+            assert np.allclose(mix.mixed, mix_latents(z[mix.anchor_idx], z[mix.partner_idx],
+                                                      mix.lam))
+
+    def test_partner_uniform_over_other_members(self):
+        rng = np.random.default_rng(8)
+        z = np.zeros((8, 1))
+        five = np.flatnonzero(self.GROUPS == 7)
+        draws = 20_000
+        partners = np.stack([latent_mixup(z, self.GROUPS, rng).partner_idx
+                             for _ in range(draws)])
+        anchors = latent_mixup(z, self.GROUPS, rng).anchor_idx
+        for col, anchor in enumerate(anchors):
+            if anchor not in five:
+                continue
+            counts = np.bincount(partners[:, col], minlength=8)
+            for other in five[five != anchor]:
+                assert abs(counts[other] / draws - 0.25) < 0.02
+
 
 def two_clusters(n=500, sigma=0.1, dim=8, seed=0):
     """Unit-norm centers 60 degrees apart: distance exactly 1.0 = 10 sigma."""

@@ -312,6 +312,33 @@ class TestSeededRng:
         assert a1 != b1
 
 
+class TestSupconReference:
+    @staticmethod
+    def reference(z, labels, t):
+        """The docstring's formula, one anchor at a time."""
+        n = len(labels)
+        terms = []
+        for i in range(n):
+            pos = [p for p in range(n) if p != i and labels[p] == labels[i]]
+            if not pos:
+                continue
+            others = [a for a in range(n) if a != i]
+            log_denom = np.log(sum(np.exp(z[i] @ z[a] / t) for a in others))
+            terms.append(-np.mean([z[i] @ z[p] / t - log_denom for p in pos]))
+        return float(np.mean(terms)) if terms else 0.0
+
+    def test_value_matches_per_anchor_loop(self):
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            n = int(rng.integers(2, 14))
+            z = l2_normalize_rows(rng.normal(size=(n, 4)))
+            z[int(rng.integers(0, n))] = 0.0  # an all-zero row
+            labels = rng.integers(0, 4, size=n)  # some anchors lack positives
+            t = float(rng.uniform(0.1, 1.5))
+            loss, _ = loss_supcon(z, labels, temperature=t)
+            assert loss == pytest.approx(self.reference(z, labels, t), rel=1e-12, abs=1e-12)
+
+
 class TestSupconNonNegative:
     def test_nonnegative_on_random_batches(self):
         rng = np.random.default_rng(0)
