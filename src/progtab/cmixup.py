@@ -396,7 +396,7 @@ def encoder_train(
             if not np.isfinite(total):
                 raise TrainingDiverged("cmixup-encoder", epoch,
                                        f"recon={recon} supcon={supcon} clf={clf}")
-            g_enc, _ = model.encoder.backward(enc_fwd, g_z)
+            g_enc, _ = model.encoder.backward(enc_fwd, g_z, input_grad=False)
             step(opts["encoder"], model.encoder, g_enc)
             sums += (recon, supcon, clf)
             n_batches += 1

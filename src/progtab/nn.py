@@ -118,11 +118,14 @@ class ModelGraph:
             acts.append(_activate(layer.activation, acts[-1] @ layer.weight + layer.bias))
         return Forward(acts)
 
-    def backward(self, fwd: "Forward", grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, fwd: "Forward", grad_output: np.ndarray,
+                 input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """Exact gradients of a scalar loss given dL/d(output).
 
         Returns (dL/d(params), laid out like ``params``; dL/d(input)) so
-        callers can chain through upstream models.
+        callers can chain through upstream models. With ``input_grad=False``
+        the input gradient, one more matrix product at the first layer, is
+        not computed and None takes its place.
         """
         g = np.asarray(grad_output, dtype=np.float64)
         grads = np.empty_like(self.params)
@@ -135,7 +138,7 @@ class ModelGraph:
             gz.sum(axis=0, out=gb)
             if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
                 raise GradientError(i, "non-finite gradient")
-            g = gz @ layer.weight.T
+            g = gz @ layer.weight.T if i or input_grad else None
         return grads, g
 
 

@@ -166,7 +166,7 @@ def pretext_train(
                 raise TrainingDiverged("pretext", epoch, f"recon={recon} mask_bce={bce}")
             g_fd, gh_rec = model.feature_decoder.backward(fd_fwd, g_rec)
             g_md, gh_bce = model.mask_decoder.backward(md_fwd, g_bce)
-            g_enc, _ = model.encoder.backward(enc_fwd, gh_rec + gh_bce)
+            g_enc, _ = model.encoder.backward(enc_fwd, gh_rec + gh_bce, input_grad=False)
             step(opts["feature"], model.feature_decoder, g_fd)
             step(opts["mask"], model.mask_decoder, g_md)
             step(opts["encoder"], model.encoder, g_enc)
@@ -219,7 +219,7 @@ def semisup_train(
                 xb, _ = corrupt(xb, spec.p_mask, rng_lab_corrupt)
             pred_fwd = model.predictor.forward(model.latent(xb))
             ce, g = nn.loss_crossentropy(pred_fwd.output, yb)
-            g_pred, _ = model.predictor.backward(pred_fwd, g)
+            g_pred, _ = model.predictor.backward(pred_fwd, g, input_grad=False)
 
             cons = 0.0
             if use_unlab:
@@ -232,7 +232,7 @@ def semisup_train(
                 stack = np.stack([f.output for f in pred_fwds])
                 cons, g_stack = nn.loss_consistency(stack)
                 for kf, pf in enumerate(pred_fwds):
-                    gk, _ = model.predictor.backward(pf, beta * g_stack[kf])
+                    gk, _ = model.predictor.backward(pf, beta * g_stack[kf], input_grad=False)
                     g_pred += gk
 
             total = ce + beta * cons

@@ -93,6 +93,15 @@ class TestFlatParameters:
         bias_at = 3 * 4 + 4 + 4 * 2
         assert np.array_equal(grads[bias_at:], [5.0, 5.0])  # d(sum of outputs)/d(bias)
 
+    def test_backward_can_skip_the_input_gradient(self):
+        model = ModelGraph.mlp(3, (4,), 2, "softmax", seed=1)
+        fwd = model.forward(np.random.default_rng(2).normal(size=(5, 3)))
+        g = np.random.default_rng(3).normal(size=(5, 2))
+        grads, grad_in = model.backward(fwd, g)
+        grads_only, none = model.backward(fwd, g, input_grad=False)
+        assert grad_in.shape == (5, 3) and none is None
+        assert np.array_equal(grads_only, grads)
+
 
 class TestLossValues:
     def test_ce_perfect_prediction(self):
