@@ -16,13 +16,16 @@ distribution, so confident rows score near 1 and untouched rows score 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import nn
 from .nn import ModelGraph, make_optimizer, seeded_rng, step
 from .vime import TrainingDiverged, derive_seed
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class PropagationError(RuntimeError):
@@ -68,22 +71,22 @@ def build_cmixup_model(
     encoder_hidden: tuple[int, ...] = (),
     seed: int = 0,
 ) -> CmixupModel:
-    """A fresh model with one head per flag."""
+    """A fresh float32 model with one head per flag."""
     unknown = set(flags) - {"projection", "decoder", "classifier"}
     if unknown:
         raise ValueError(f"unknown component flags {sorted(unknown)}")
     encoder = ModelGraph.mlp(input_dim, encoder_hidden, latent_dim, "relu",
-                             seed=derive_seed(seed, "cm-encoder"))
+                             seed=derive_seed(seed, "cm-encoder"), dtype=np.float32)
     projection = decoder = classifier = None
     if "projection" in flags:
         projection = ModelGraph.mlp(latent_dim, (), PROJECTION_DIM, "identity",
-                                    seed=derive_seed(seed, "cm-projection"))
+                                    seed=derive_seed(seed, "cm-projection"), dtype=np.float32)
     if "decoder" in flags:
         decoder = ModelGraph.mlp(latent_dim, (), input_dim, "identity",
-                                 seed=derive_seed(seed, "cm-decoder"))
+                                 seed=derive_seed(seed, "cm-decoder"), dtype=np.float32)
     if "classifier" in flags:
         classifier = ModelGraph.mlp(latent_dim, (), num_classes, "softmax",
-                                    seed=derive_seed(seed, "cm-classifier"))
+                                    seed=derive_seed(seed, "cm-classifier"), dtype=np.float32)
     return CmixupModel(encoder, projection, decoder, classifier)
 
 
@@ -132,7 +135,8 @@ def latent_mixup(
                       labels.size - anchor_idx.size)
 
 
-# similarities held at once while building the kNN graph: 4M float64 (32 MB)
+# similarities held at once while building the kNN graph: 4M values, 16 MB
+# in float32 (the training pipelines' latents) and 32 MB in float64
 _SIM_BLOCK_VALUES = 1 << 22
 # column groups whose maxima bound each row's k-th largest similarity
 _KNN_GROUPS = 256
@@ -150,11 +154,16 @@ def _knn_affinity(latents: np.ndarray, k: int) -> sp.csr_matrix:
     They lie in at most k - 1 groups, about 54 per row at n = 16,000 and
     k = 50. When fewer than k lie above tau, the k-th similarity equals
     tau and the rest are filled from the entries equal to tau. Ties at the
-    k-th similarity go to the lowest column index."""
+    k-th similarity go to the lowest column index.
+
+    Similarities are computed and compared in the latents' dtype, so float32
+    latents give a float32 graph search; the edge weights are float64."""
+    import scipy.sparse as sp
+
     n = latents.shape[0]
-    z = nn.l2_normalize_rows(np.asarray(latents, dtype=np.float64))
+    z = nn.l2_normalize_rows(np.asarray(latents))
     block = max(1, min(n, _SIM_BLOCK_VALUES // n))
-    buf = np.empty((block, n))
+    buf = np.empty((block, n), dtype=z.dtype)
     groups = min(n, max(_KNN_GROUPS, k))
     span = n // groups * groups  # columns past span fold into the first groups
     rows, cols, vals = [], [], []
@@ -173,7 +182,7 @@ def _knn_affinity(latents: np.ndarray, k: int) -> sp.csr_matrix:
         r, c = np.divmod(flat, n)
         above = np.bincount(r, minlength=b)
         starts = np.cumsum(above) - above
-        neg = np.full((b, int(above.max(initial=0))), np.inf)
+        neg = np.full((b, int(above.max(initial=0))), np.inf, dtype=z.dtype)
         neg[r, np.arange(flat.size) - np.repeat(starts, above)] = -sims.ravel()[flat]
         best = np.argsort(neg, axis=1, kind="stable")[:, :k]
         top = np.take_along_axis(neg, best, axis=1)
@@ -199,8 +208,8 @@ def _knn_affinity(latents: np.ndarray, k: int) -> sp.csr_matrix:
             need[short] -= np.count_nonzero(ties, axis=1)
             short = short[need[short] > 0]
             lo, hi = hi, hi + 2 * (hi - lo)
-    w = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n))
+    w = sp.csr_matrix((np.concatenate(vals, dtype=np.float64),
+                       (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
     return w.maximum(w.T)
 
 
@@ -240,7 +249,10 @@ def propagate_labels(
     """Diffuse labels over the kNN graph: solve (I - alpha * S) Z = Y per class.
 
     labels align with labeled_idx. Every class needs at least one labeled row.
+    The graph search runs in the latents' dtype, the solve in float64.
     """
+    import scipy.sparse as sp
+
     n = latents.shape[0]
     labeled_idx = np.asarray(labeled_idx, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)

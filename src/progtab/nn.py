@@ -2,11 +2,18 @@
 
 Dense layers with {relu, identity, softmax} activations, exact reverse-mode
 gradients, Adam, and a central-finite-difference gradient checker. A model's
-parameters are one flat float64 vector with the layers as views into it;
+parameters are one flat vector with the layers as views into it;
 gradients and Adam moments are vectors in the same layout, so an optimizer
 step is a few vector operations. Every loss returns (value, gradient w.r.t.
 its input) so training loops can compose heads and chain gradients through
 shared encoders.
+
+Precision: a model computes in the dtype of its parameters. ``forward`` and
+``backward`` cast each batch they are given to it, so activations, gradients
+and Adam moments share it. The training pipelines build float32 models;
+``ModelGraph.mlp`` defaults to float64, which the gradient checker needs.
+Each loss computes in its first argument's dtype and reduces its value in
+float64.
 
 Determinism: parameters are initialized from a seeded generator; forward and
 backward are pure ndarray arithmetic with fixed reduction order.
@@ -52,17 +59,19 @@ class DenseLayer:
 
 
 class ModelGraph:
-    """A stack of dense layers whose parameters live in one flat float64
-    vector ``params``: layer by layer, each weight (row-major) then its bias.
+    """A stack of dense layers whose parameters live in one flat vector
+    ``params``: layer by layer, each weight (row-major) then its bias.
     Every layer's weight and bias are views into it. The constructor copies
-    the given layers' arrays into a new vector."""
+    the given layers' arrays into a new vector of the narrowest float dtype,
+    float32 at least, that holds them all."""
 
     def __init__(self, layers: list[DenseLayer]):
         for a, b in zip(layers, layers[1:]):
             if a.weight.shape[1] != b.weight.shape[0]:
                 raise NnError("consecutive layer dims incompatible")
-        self.params = np.concatenate([a for l in layers for a in (l.weight, l.bias)],
-                                     axis=None, dtype=np.float64)
+        arrays = [a for l in layers for a in (l.weight, l.bias)]
+        dtype = np.result_type(np.float32, *{a.dtype for a in arrays})
+        self.params = np.concatenate(arrays, axis=None, dtype=dtype)
         self.layers = [DenseLayer(w, b, l.activation)
                        for l, (w, b) in zip(layers, self._views(self.params, layers))]
 
@@ -80,10 +89,12 @@ class ModelGraph:
 
     @classmethod
     def mlp(cls, input_dim: int, hidden: tuple[int, ...], output_dim: int,
-            output_activation: str, seed: int) -> "ModelGraph":
+            output_activation: str, seed: int, dtype=np.float64) -> "ModelGraph":
         """MLP input_dim -> *hidden -> output_dim with relu hidden layers.
 
         He-scaled init for relu layers, Glorot for the rest; biases zero.
+        The weights are drawn in float64 and then cast to ``dtype``, so a
+        float32 model starts from the rounded float64 one.
         """
         dims = [input_dim, *hidden, output_dim]
         acts = ["relu"] * len(hidden) + [output_activation]
@@ -95,7 +106,7 @@ class ModelGraph:
             else:
                 scale = np.sqrt(2.0 / (fan_in + fan_out))
             w = scale * rng.standard_normal((fan_in, fan_out))
-            layers.append(DenseLayer(w, np.zeros(fan_out), act))
+            layers.append(DenseLayer(w.astype(dtype), np.zeros(fan_out, dtype), act))
         return cls(layers)
 
     @property
@@ -110,7 +121,7 @@ class ModelGraph:
         return ModelGraph(self.layers)
 
     def forward(self, inputs: np.ndarray) -> "Forward":
-        x = np.asarray(inputs, dtype=np.float64)
+        x = np.asarray(inputs, dtype=self.params.dtype)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise NnError(f"input width {x.shape} does not match first layer {self.input_dim}")
         acts = [x]
@@ -127,7 +138,7 @@ class ModelGraph:
         the input gradient, one more matrix product at the first layer, is
         not computed and None takes its place.
         """
-        g = np.asarray(grad_output, dtype=np.float64)
+        g = np.asarray(grad_output, dtype=self.params.dtype)
         grads = np.empty_like(self.params)
         views = self._views(grads, self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
@@ -194,7 +205,7 @@ def loss_crossentropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     b = probs.shape[0]
     picked = probs[np.arange(b), labels]
     clamped = np.maximum(picked, LOG_CLAMP)
-    loss = float(-np.log(clamped).mean())
+    loss = float(-np.log(clamped).mean(dtype=np.float64))
     grad = np.zeros_like(probs)
     live = picked > LOG_CLAMP  # the clamp zeroes the gradient below it
     grad[np.arange(b)[live], labels[live]] = -1.0 / (b * picked[live])
@@ -205,8 +216,8 @@ def loss_reconstruction(x_hat: np.ndarray, x: np.ndarray) -> tuple[float, np.nda
     """Mean squared error over all entries."""
     if x_hat.shape != x.shape:
         raise NnError("reconstruction shape mismatch")
-    diff = x_hat - x
-    loss = float((diff**2).mean())
+    diff = x_hat - np.asarray(x, dtype=x_hat.dtype)
+    loss = float((diff**2).mean(dtype=np.float64))
     return loss, 2.0 * diff / diff.size
 
 
@@ -214,9 +225,10 @@ def loss_mask_bce(mask_logits: np.ndarray, true_mask: np.ndarray) -> tuple[float
     """Binary cross-entropy on logits, mean over all mask bits."""
     if mask_logits.shape != true_mask.shape:
         raise NnError("mask shape mismatch")
-    z, m = mask_logits, true_mask
+    z, m = mask_logits, np.asarray(true_mask, dtype=mask_logits.dtype)
     # log(1 + exp(z)) - m*z, computed stably
-    loss = float((np.maximum(z, 0.0) - m * z + np.log1p(np.exp(-np.abs(z)))).mean())
+    loss = float((np.maximum(z, 0.0) - m * z + np.log1p(np.exp(-np.abs(z))))
+                 .mean(dtype=np.float64))
     grad = (_sigmoid(z) - m) / z.size
     return loss, grad
 
@@ -227,13 +239,13 @@ def loss_consistency(pred_sets: np.ndarray) -> tuple[float, np.ndarray]:
     pred_sets is (K, B, C); the loss is the mean over samples of the summed
     per-class population variance across the K sets.
     """
-    p = np.asarray(pred_sets, dtype=np.float64)
+    p = np.asarray(pred_sets)
     if p.ndim != 3 or p.shape[0] < 2:
         raise NnError("need K >= 2 prediction sets")
     k, b, _ = p.shape
     mean = p.mean(axis=0, keepdims=True)
     centered = p - mean
-    loss = float((centered**2).sum(axis=(0, 2)).mean() / k)
+    loss = float((centered**2).sum(axis=(0, 2), dtype=np.float64).mean() / k)
     grad = 2.0 * centered / (k * b)
     return loss, grad
 
@@ -265,7 +277,7 @@ def loss_supcon(
     """
     if temperature <= 0:
         raise NnError("temperature must be > 0")
-    z = np.asarray(projections, dtype=np.float64)
+    z = np.asarray(projections)
     labels = np.asarray(labels, dtype=np.int64)
     n = z.shape[0]
     if n == 0:
@@ -286,13 +298,14 @@ def loss_supcon(
     log_prob = sims - log_denom
     np.fill_diagonal(log_prob, 0.0)  # -inf there, and never a positive
 
-    per_anchor = -(log_prob * pos_mask).sum(axis=1)[anchors] / n_pos[anchors]
+    per_anchor = (-(log_prob * pos_mask).sum(axis=1, dtype=np.float64)[anchors]
+                  / n_pos[anchors])
     loss = float(per_anchor.mean())
 
     # dL/ds_ij for anchor rows: softmax over non-self minus the positive mass
     softmax = exp / exp.sum(axis=1, keepdims=True)
-    g = np.zeros((n, n))
-    g[anchors] = softmax[anchors] - pos_mask[anchors] / n_pos[anchors, None]
+    g = np.zeros_like(sims)
+    g[anchors] = softmax[anchors] - pos_mask[anchors] / n_pos[anchors, None].astype(z.dtype)
     g /= n_anchors
     grad = (g + g.T) @ z / temperature
     return loss, grad

@@ -75,20 +75,22 @@ def build_vime_model(
     with_encoder: bool = True,
 ) -> VimeModel:
     """Fresh model; each component draws from its own seed stream so the
-    predictor initialization is identical with or without the encoder."""
+    predictor initialization is identical with or without the encoder. Every
+    component is float32."""
     if with_encoder:
         encoder = ModelGraph.mlp(input_dim, encoder_hidden, latent_dim, "relu",
-                                 seed=derive_seed(seed, "encoder"))
+                                 seed=derive_seed(seed, "encoder"), dtype=np.float32)
         feature_decoder = ModelGraph.mlp(latent_dim, (), input_dim, "identity",
-                                         seed=derive_seed(seed, "feature-decoder"))
+                                         seed=derive_seed(seed, "feature-decoder"),
+                                         dtype=np.float32)
         mask_decoder = ModelGraph.mlp(latent_dim, (), input_dim, "identity",
-                                      seed=derive_seed(seed, "mask-decoder"))
+                                      seed=derive_seed(seed, "mask-decoder"), dtype=np.float32)
         pred_in = latent_dim
     else:
         encoder = feature_decoder = mask_decoder = None
         pred_in = input_dim
     predictor = ModelGraph.mlp(pred_in, predictor_hidden, num_classes, "softmax",
-                               seed=derive_seed(seed, "predictor"))
+                               seed=derive_seed(seed, "predictor"), dtype=np.float32)
     return VimeModel(encoder, feature_decoder, mask_decoder, predictor)
 
 

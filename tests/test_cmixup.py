@@ -173,7 +173,39 @@ class TestKnnAffinity:
         assert set(got[copies[-1]].indices) == set(copies[:10].tolist())
 
 
+    def test_float32_latents_give_the_edges_of_their_float64_upcast(self):
+        # clustered rows, so that many similarities sit close to one another
+        rng = np.random.default_rng(9)
+        centers = rng.normal(size=(4, 8))
+        latents = (centers[rng.integers(0, 4, 3000)]
+                   + 0.3 * rng.normal(size=(3000, 8))).astype(np.float32)
+        k, tol = 20, 16 * np.finfo(np.float32).eps  # cosines lie in [-1, 1]
+        got = _knn_affinity(latents, k)
+        want = _knn_affinity(latents.astype(np.float64), k)
+        assert got.dtype == want.dtype == np.float64
+        shared = got.multiply(want != 0)
+        assert np.abs(shared - want.multiply(got != 0)).max() <= tol
+        # an edge may differ only where float32 rounding can reorder a row's
+        # k-th and (k+1)-th neighbours: within tol of either end's k-th similarity
+        z = nn.l2_normalize_rows(latents.astype(np.float64))
+        sims = z @ z.T
+        np.fill_diagonal(sims, -np.inf)
+        kth = -np.partition(-sims, k - 1, axis=1)[:, k - 1]
+        i, j = ((got != 0) != (want != 0)).nonzero()
+        near_tie = (np.abs(sims[i, j] - kth[i]) <= tol) | (np.abs(sims[i, j] - kth[j]) <= tol)
+        assert near_tie.all()
+        assert i.size <= 1e-4 * want.nnz
+
+
 class TestPropagation:
+    def test_float32_latents_give_the_pseudo_labels_of_their_float64_upcast(self):
+        pts, y = two_clusters(seed=2)
+        seeds = np.array([5, 300])
+        got = propagate_labels(pts.astype(np.float32), seeds, y[seeds], 2, k=20)
+        want = propagate_labels(pts, seeds, y[seeds], 2, k=20)
+        assert np.array_equal(got.pseudo_label, want.pseudo_label)
+        assert np.abs(got.weight - want.weight).max() <= 1e-5
+
     def test_two_separated_clusters(self):
         pts, y = two_clusters()
         seeds = np.array([0, 250])  # one labeled point per cluster
@@ -336,3 +368,5 @@ class TestModelFlags:
         model = build_cmixup_model(4, 2, flags=flags)
         for head in ("decoder", "projection", "classifier"):
             assert (getattr(model, head) is not None) == (head in flags)
+        for part in (model.encoder, *(getattr(model, head) for head in flags)):
+            assert part.params.dtype == np.float32

@@ -357,3 +357,68 @@ class TestSupconNonNegative:
             labels = rng.integers(0, 3, size=n)
             loss, _ = loss_supcon(z, labels, temperature=float(rng.uniform(0.05, 2.0)))
             assert loss >= 0.0
+
+
+class TestPrecision:
+    # float32 against float64 arithmetic on the same float32-representable
+    # weights and inputs: errors are relative to each array's largest entry
+    TOL = 64 * np.finfo(np.float32).eps
+
+    @staticmethod
+    def close(a32, a64):
+        assert a32.dtype == np.float32
+        return np.abs(a32 - a64).max() <= TestPrecision.TOL * np.abs(a64).max()
+
+    def test_float32_forward_and_backward_match_float64(self):
+        m32 = ModelGraph.mlp(32, (64, 32), 4, "softmax", seed=3, dtype=np.float32)
+        m64 = ModelGraph([DenseLayer(l.weight.astype(np.float64), l.bias.astype(np.float64),
+                                     l.activation) for l in m32.layers])
+        assert m64.params.dtype == np.float64
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(50, 32)).astype(np.float32).astype(np.float64)
+        y = rng.integers(0, 4, size=50)
+        f32, f64 = m32.forward(x), m64.forward(x)
+        for a32, a64 in zip(f32.acts, f64.acts):
+            assert self.close(a32, a64)
+        ce32, g32 = loss_crossentropy(f32.output, y)
+        ce64, g64 = loss_crossentropy(f64.output, y)
+        assert isinstance(ce32, float) and abs(ce32 - ce64) <= self.TOL * ce64
+        assert self.close(g32, g64)
+        (p32, x32), (p64, x64) = m32.backward(f32, g32), m64.backward(f64, g64)
+        assert self.close(p32, p64) and self.close(x32, x64)
+
+    @pytest.mark.parametrize("loss", [
+        lambda u: loss_reconstruction(u, np.ones(u.shape)),
+        lambda u: loss_mask_bce(u, np.ones(u.shape)),
+        lambda u: loss_consistency(np.stack([u, u[::-1]])),
+        lambda u: loss_supcon(l2_normalize_rows(u), np.arange(len(u)) % 3, 0.1),
+    ], ids=["reconstruction", "mask_bce", "consistency", "supcon"])
+    def test_losses_follow_their_input_dtype(self, loss):
+        u = np.random.default_rng(5).normal(size=(12, 6))
+        v32, g32 = loss(u.astype(np.float32))
+        v64, g64 = loss(u)
+        assert isinstance(v32, float) and abs(v32 - v64) <= self.TOL * abs(v64)
+        grad32 = g32[0] if g32.ndim == 3 else g32
+        assert self.close(grad32, g64[0] if g64.ndim == 3 else g64)
+
+    def test_adam_keeps_a_float32_model_float32(self):
+        model = ModelGraph.mlp(5, (8,), 3, "softmax", seed=6, dtype=np.float32)
+        opt = make_optimizer(model, learning_rate=1e-2)
+        x = np.random.default_rng(7).normal(size=(9, 5))  # float64 batches
+        for _ in range(3):
+            fwd = model.forward(x)
+            assert all(a.dtype == np.float32 for a in fwd.acts)
+            _, g = loss_crossentropy(fwd.output, np.arange(9) % 3)
+            grads, grad_in = model.backward(fwd, g.astype(np.float64))
+            assert grads.dtype == grad_in.dtype == np.float32
+            step(opt, model, grads)
+            assert model.params.dtype == opt.m.dtype == opt.v.dtype == np.float32
+        for layer in model.layers:
+            assert layer.weight.dtype == layer.bias.dtype == np.float32
+            assert np.shares_memory(layer.weight, model.params)
+        assert model.copy().params.dtype == np.float32
+
+    def test_gradcheck_models_are_float64(self):
+        assert ModelGraph.mlp(3, (4,), 2, "softmax", seed=0).params.dtype == np.float64
+        for name, model, _ in gradcheck_cases():
+            assert model.params.dtype == np.float64, name

@@ -82,6 +82,15 @@ def eval_recon(model: VimeModel, x, spec: CorruptionSpec) -> float:
     return loss
 
 
+class TestBuild:
+    @pytest.mark.parametrize("with_encoder", [True, False])
+    def test_every_component_is_float32(self, with_encoder):
+        model = build_vime_model(6, 2, latent_dim=8, seed=0, with_encoder=with_encoder)
+        parts = [model.encoder, model.feature_decoder, model.mask_decoder, model.predictor]
+        for part in parts[0 if with_encoder else 3:]:
+            assert part.params.dtype == np.float32
+
+
 class TestPretext:
     def test_rank1_reconstruction_improves_10x(self):
         x = rank1_dataset()
