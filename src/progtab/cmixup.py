@@ -102,7 +102,7 @@ class MixupBatch:
     labels: np.ndarray  # (P,)
     anchor_idx: np.ndarray  # (P,) index into the source latents
     partner_idx: np.ndarray  # (P,)
-    lam: np.ndarray  # (P,)
+    lam: np.ndarray  # (P,) in the latents' dtype
     n_skipped: int = 0
 
 
@@ -129,7 +129,9 @@ def latent_mixup(
     g = group[anchor_idx]
     shift = rng.integers(1, size[g])
     partner_idx = order[first[g] + (rank[anchor_idx] + shift) % size[g]]
-    lam = rng.beta(MIXUP_BETA_ALPHA, MIXUP_BETA_ALPHA, size=anchor_idx.size)
+    # in the latents' dtype, so that the mix and its gradient stay in it
+    lam = rng.beta(MIXUP_BETA_ALPHA, MIXUP_BETA_ALPHA, size=anchor_idx.size).astype(
+        latents.dtype, copy=False)
     mixed = mix_latents(latents[anchor_idx], latents[partner_idx], lam)
     return MixupBatch(mixed, labels[anchor_idx], anchor_idx, partner_idx, lam,
                       labels.size - anchor_idx.size)
