@@ -172,7 +172,6 @@ class TestKnnAffinity:
         assert got[7].nnz == 0
         assert set(got[copies[-1]].indices) == set(copies[:10].tolist())
 
-
     def test_float32_latents_give_the_edges_of_their_float64_upcast(self):
         # clustered rows, so that many similarities sit close to one another
         rng = np.random.default_rng(9)
