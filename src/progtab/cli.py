@@ -41,6 +41,14 @@ SYNTHETIC_PRESETS = {
     "highcard": SyntheticSpec(50_000, 2, 5_000, 2, 4, 1.5, 1002),
 }
 SPLIT_DEFAULTS = {"train_fraction": 0.8, "labeled_fraction_of_train": 0.1, "seed": 0}
+# the keys each level of an experiment config accepts; any other is an error
+EXPERIMENT_KEYS = ("dataset", "split", "methods", "seeds", "output_dir")
+METHOD_KEYS = ("preset", "overrides", "name")
+DATASET_KEYS = {
+    "synthetic": ("kind", "preset", "spec"),
+    "csv": ("kind", "path", "label_column", "kind_overrides", "drop_columns", "num_classes"),
+}
+METRIC = "final_test_accuracy"
 
 
 def method_presets() -> dict[str, RunConfig]:
@@ -87,6 +95,8 @@ ABLATION_COMPONENTS = (
     ("classifier", "decoder", "projection"),
 )
 ABLATION_MODES = ("no_update", "update", "refinement")
+# set per cell by ablation_methods, so an override of them would be lost
+ABLATION_FIELDS = ("name", "pipeline", "component_flags", "update_enabled", "refinement_mode")
 
 
 def ablation_methods(base: RunConfig | None = None) -> list[RunConfig]:
@@ -134,6 +144,8 @@ class ExperimentConfig:
             preset = self.dataset.get("preset")
             if preset is not None and preset not in SYNTHETIC_PRESETS:
                 problems.append(f"unknown synthetic preset {preset!r}")
+            if preset is not None and "spec" in self.dataset:
+                problems.append("synthetic dataset takes a preset or a spec, not both")
             if preset is None and "spec" not in self.dataset:
                 problems.append("synthetic dataset needs a preset or a spec")
             elif preset is None:
@@ -163,8 +175,7 @@ def _fits(value, default) -> bool:
     if isinstance(value, bool) or isinstance(default, bool):
         return isinstance(value, bool) and isinstance(default, bool)
     if isinstance(default, tuple):
-        item = default[0] if default else 0
-        return isinstance(value, (list, tuple)) and all(_fits(v, item) for v in value)
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
     if isinstance(default, float):
         return isinstance(value, (int, float))
     return isinstance(value, type(default))
@@ -183,6 +194,12 @@ def _check_overrides(overrides: dict) -> dict:
     return overrides
 
 
+def _check_keys(payload: dict, known, where: str) -> None:
+    unknown = set(payload) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {sorted(unknown)}")
+
+
 def _section(payload: dict, key: str, kind: type, default):
     """payload[key], or default when absent; a wrong JSON type is a config error."""
     if key not in payload:
@@ -197,10 +214,14 @@ def _section(payload: dict, key: str, kind: type, default):
 def parse_experiment_config(payload: dict) -> ExperimentConfig:
     if not isinstance(payload, dict):
         raise ConfigError(f"an experiment config must be an object, got {type(payload).__name__}")
-    split_d = {**SPLIT_DEFAULTS, **_section(payload, "split", dict, {})}
-    unknown = set(split_d) - set(SPLIT_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown split keys {sorted(unknown)}")
+    _check_keys(payload, EXPERIMENT_KEYS, "experiment config")
+    dataset = _section(payload, "dataset", dict, {})
+    kind = dataset.get("kind")
+    if isinstance(kind, str) and kind in DATASET_KEYS:  # validate() reports other kinds
+        _check_keys(dataset, DATASET_KEYS[kind], f"{kind} dataset")
+    split_d = _section(payload, "split", dict, {})
+    _check_keys(split_d, SPLIT_DEFAULTS, "split")
+    split_d = {**SPLIT_DEFAULTS, **split_d}
     for key, value in split_d.items():
         if not _fits(value, SPLIT_DEFAULTS[key]):
             raise ConfigError(f"split {key} takes a number, got {json.dumps(value)}")
@@ -214,26 +235,28 @@ def parse_experiment_config(payload: dict) -> ExperimentConfig:
             raise ConfigError(f"a method must be a preset name or an object, got {entry!r}")
         preset = _section(entry, "preset", str, None)
         if preset == "cmixup_ablation_matrix":
-            base = RunConfig(pipeline="cmixup", **_check_overrides(
-                _section(entry, "overrides", dict, {})))
-            methods.extend(ablation_methods(base))
+            # the matrix names its own methods
+            _check_keys(entry, ("preset", "overrides"), preset)
+            overrides = _check_overrides(_section(entry, "overrides", dict, {}))
+            fixed = set(overrides) & set(ABLATION_FIELDS)
+            if fixed:
+                raise ConfigError(f"{preset} sets {sorted(fixed)} itself")
+            methods.extend(ablation_methods(RunConfig(pipeline="cmixup", **overrides)))
             continue
+        _check_keys(entry, METHOD_KEYS, "method")
         if preset is not None:
             if preset not in presets:
                 raise ConfigError(f"unknown method preset {preset!r}")
             cfg = replace(presets[preset])
         else:
             cfg = RunConfig()
-        overrides = {**_section(entry, "overrides", dict, {}),
-                     **_section(entry, "config", dict, {})}
-        cfg = replace(cfg, **_check_overrides(overrides))
+        cfg = replace(cfg, **_check_overrides(_section(entry, "overrides", dict, {})))
         cfg.name = _section(entry, "name", str, cfg.name) or preset or "custom"
         methods.append(cfg)
     seeds = _section(payload, "seeds", list, list(DEFAULT_SEEDS))
     out = (_section(payload, "output_dir", str, "")
            or os.environ.get(OUTPUT_DIR_ENV, "progtab-out"))
-    return ExperimentConfig(dict(_section(payload, "dataset", dict, {})), split, methods,
-                            seeds, out)
+    return ExperimentConfig(dict(dataset), split, methods, seeds, out)
 
 
 def _synthetic_spec(fields) -> SyntheticSpec:
@@ -265,23 +288,24 @@ def load_dataset(dataset_cfg: dict) -> TabularDataset:
 
 @dataclass
 class ResultsTable:
+    """Each method's METRIC over its seeds."""
+
     methods: list[str]
-    metric: str
     cells: dict  # method -> {"mean", "std", "formatted", "raw", "seeds", "n_seeds"}
 
     def to_json(self) -> str:
-        return json.dumps({"methods": self.methods, "metric": self.metric,
+        return json.dumps({"methods": self.methods, "metric": METRIC,
                            "cells": self.cells}, indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = [f"method,{self.metric}_mean,{self.metric}_std,n_seeds,formatted"]
+        lines = [f"method,{METRIC}_mean,{METRIC}_std,n_seeds,formatted"]
         for m in self.methods:
             c = self.cells[m]
             lines.append(f"{m},{c['mean']!r},{c['std']!r},{c['n_seeds']},{c['formatted']}")
         return "\n".join(lines) + "\n"
 
     def to_markdown(self) -> str:
-        lines = [f"| Method | {self.metric} |", "| --- | --- |"]
+        lines = [f"| Method | {METRIC} |", "| --- | --- |"]
         for m in self.methods:
             lines.append(f"| {m} | {self.cells[m]['formatted']} |")
         return "\n".join(lines) + "\n"
@@ -291,12 +315,11 @@ def format_cell(mean: float, std: float) -> str:
     return f"{mean * 100:.2f}% (±{std * 100:.3f})"
 
 
-def render_table(reports: list[ExperimentReport], method_order: list[str] | None = None) -> ResultsTable:
+def render_table(reports: list[ExperimentReport], method_order: list[str]) -> ResultsTable:
     summary = compare_runs(reports)
-    methods = method_order or sorted(summary)
     cells = {m: {**summary[m], "formatted": format_cell(summary[m]["mean"], summary[m]["std"])}
-             for m in methods}
-    return ResultsTable(methods, "final_test_accuracy", cells)
+             for m in method_order}
+    return ResultsTable(method_order, cells)
 
 
 def _method_slug(name: str) -> str:
@@ -442,8 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--spec", default=None, help="JSON SyntheticSpec fields")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("gradcheck")
-    p.add_argument("--epsilon", type=float, default=1e-5)
+    sub.add_parser("gradcheck")
 
     args = parser.parse_args(argv)
     try:
@@ -480,11 +502,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {ds.n_rows} rows to {args.out}")
             return 0
         if args.verb == "gradcheck":
-            if not args.epsilon > 0:
-                raise ConfigError(f"--epsilon must be > 0, got {args.epsilon}")
             worst = 0.0
             for name, model, fn in nn.gradcheck_cases():
-                report = nn.gradcheck(model, fn, epsilon=args.epsilon)
+                report = nn.gradcheck(model, fn)
                 print(f"{name}: max_rel_err {report.max_rel_err:.3e} "
                       f"({report.n_params} params)")
                 worst = max(worst, report.max_rel_err)

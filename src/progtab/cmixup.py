@@ -68,14 +68,13 @@ def build_cmixup_model(
     num_classes: int,
     latent_dim: int = 32,
     flags: tuple[str, ...] = ("decoder", "projection", "classifier"),
-    encoder_hidden: tuple[int, ...] = (),
     seed: int = 0,
 ) -> CmixupModel:
-    """A fresh float32 model with one head per flag."""
+    """A fresh float32 model: a one-layer relu encoder and one head per flag."""
     unknown = set(flags) - {"projection", "decoder", "classifier"}
     if unknown:
         raise ValueError(f"unknown component flags {sorted(unknown)}")
-    encoder = ModelGraph.mlp(input_dim, encoder_hidden, latent_dim, "relu",
+    encoder = ModelGraph.mlp(input_dim, (), latent_dim, "relu",
                              seed=derive_seed(seed, "cm-encoder"), dtype=np.float32)
     projection = decoder = classifier = None
     if "projection" in flags:
@@ -215,12 +214,17 @@ def _knn_affinity(latents: np.ndarray, k: int) -> sp.csr_matrix:
     return w.maximum(w.T)
 
 
-def _conjugate_gradient(matvec, b: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+CG_TOL = 1e-6  # absolute residual norm that ends a class's conjugate-gradient solve
+
+
+# scipy.sparse.linalg.cg gives the same solution, but importing that module
+# costs about 10 MB of resident memory
+def _conjugate_gradient(matvec, b: np.ndarray, max_iter: int) -> np.ndarray:
     x = np.zeros_like(b)
     r = b - matvec(x)
     p = r.copy()
     rs = float(r @ r)
-    if np.sqrt(rs) < tol:
+    if np.sqrt(rs) < CG_TOL:
         return x
     for _ in range(max_iter):
         ap = matvec(p)
@@ -228,12 +232,12 @@ def _conjugate_gradient(matvec, b: np.ndarray, tol: float, max_iter: int) -> np.
         x += alpha * p
         r -= alpha * ap
         rs_new = float(r @ r)
-        if np.sqrt(rs_new) < tol:
+        if np.sqrt(rs_new) < CG_TOL:
             return x
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise PropagationError(
-        f"conjugate gradient did not reach residual {tol} in {max_iter} iterations "
+        f"conjugate gradient did not reach residual {CG_TOL} in {max_iter} iterations "
         f"(residual {np.sqrt(rs):.3e})"
     )
 
@@ -245,13 +249,14 @@ def propagate_labels(
     num_classes: int,
     k: int = 50,
     alpha_diff: float = 0.99,
-    tol: float = 1e-6,
     max_iter: int = 2000,
 ) -> PropagationResult:
     """Diffuse labels over the kNN graph: solve (I - alpha * S) Z = Y per class.
 
     labels align with labeled_idx. Every class needs at least one labeled row.
-    The graph search runs in the latents' dtype, the solve in float64.
+    The graph search runs in the latents' dtype, the solve in float64; each
+    class's solve stops once its residual norm is below CG_TOL and fails after
+    max_iter iterations.
     """
     import scipy.sparse as sp
 
@@ -289,7 +294,7 @@ def propagate_labels(
         z = np.empty_like(y)
         for c in range(num_classes):
             try:
-                z[:, c] = _conjugate_gradient(matvec, y[:, c], tol, max_iter)
+                z[:, c] = _conjugate_gradient(matvec, y[:, c], max_iter)
             except PropagationError as exc:
                 raise PropagationError(
                     f"propagation over {n} rows, class {c} of {num_classes}: {exc}") from None
@@ -322,7 +327,6 @@ def encoder_train(
     epochs: int = 20,
     knn_k: int = 50,
     batch_size: int = 256,
-    learning_rate: float = 1e-3,
     seed: int = 0,
 ) -> tuple[CmixupModel, PropagationResult, list[dict]]:
     """First training step: reconstruction + same-label mixup supervised
@@ -345,11 +349,11 @@ def encoder_train(
     y_known[:n_lab] = y_lab
     k_eff = min(knn_k, max(1, n // 2))
 
-    opts = {"encoder": make_optimizer(model.encoder, learning_rate)}
+    opts = {"encoder": make_optimizer(model.encoder, nn.ADAM_LEARNING_RATE)}
     for name in ("projection", "decoder", "classifier"):
         head = getattr(model, name)
         if head is not None:
-            opts[name] = make_optimizer(head, learning_rate)
+            opts[name] = make_optimizer(head, nn.ADAM_LEARNING_RATE)
 
     def run_propagation() -> PropagationResult:
         return propagate_labels(model.latent(x_all), np.arange(n_lab), y_lab, num_classes,

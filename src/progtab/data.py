@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +57,10 @@ class TabularDataset:
         object.__setattr__(self, "schema", tuple(self.schema))
         if rows.ndim != 2 or rows.shape[1] != len(self.schema):
             raise DataError("row matrix shape does not match schema")
+        # count tables and encoded blocks are keyed by column name
+        repeated = _repeated([c.name for c in self.schema])
+        if repeated:
+            raise DataError(f"repeated column names {repeated}")
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             object.__setattr__(self, "labels", labels)
@@ -141,6 +146,11 @@ class SyntheticSpec:
             raise DataError("signal_strength must be >= 0")
 
 
+def _repeated(names: list[str]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted(n for n, count in Counter(names).items() if count > 1)
+
+
 def _parse_date(text: str) -> float | None:
     for fmt in _DATE_FORMATS:
         try:
@@ -199,6 +209,9 @@ def load_csv(
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
+        repeated = _repeated(header)
+        if repeated:
+            raise DataError(f"{path}: repeated column names {repeated}")
         raw_rows = []
         for i, row in enumerate(reader):
             if not row:  # blank line
@@ -410,13 +423,14 @@ def synthesize_dataset(gen: SyntheticSpec) -> TabularDataset:
     return TabularDataset(tuple(schema), cells, labels, C)
 
 
-def dataset_to_csv(ds: TabularDataset, path, label_column: str = "label") -> None:
-    """Write the dataset back to CSV (raw category values, repr'd numerics)."""
+def dataset_to_csv(ds: TabularDataset, path) -> None:
+    """Write the dataset back to CSV (raw category values, repr'd numerics,
+    labels in a last column named ``label``)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = [c.name for c in ds.schema]
         if ds.labels is not None:
-            header.append(label_column)
+            header.append("label")
         writer.writerow(header)
         for i in range(ds.n_rows):
             row = []

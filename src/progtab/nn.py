@@ -27,6 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LOG_CLAMP = 1e-12
+# rows whose L2 norm is at most this normalize to the zero vector
+NORM_EPS = 1e-12
 
 
 class NnError(ValueError):
@@ -250,17 +252,17 @@ def loss_consistency(pred_sets: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def l2_normalize_rows(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Unit-normalize rows; rows with norm <= eps map to the zero vector."""
+def l2_normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Unit-normalize rows; rows with norm <= NORM_EPS map to the zero vector."""
     norms = np.sqrt((x**2).sum(axis=1, keepdims=True))
-    return np.where(norms > eps, x / np.maximum(norms, eps), 0.0)
+    return np.where(norms > NORM_EPS, x / np.maximum(norms, NORM_EPS), 0.0)
 
 
-def l2_normalize_rows_backward(x: np.ndarray, grad: np.ndarray, eps: float = 1e-12) -> np.ndarray:
+def l2_normalize_rows_backward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Chain rule through row normalization; degenerate rows get zero gradient."""
     norms = np.sqrt((x**2).sum(axis=1, keepdims=True))
-    live = norms > eps
-    safe = np.maximum(norms, eps)
+    live = norms > NORM_EPS
+    safe = np.maximum(norms, NORM_EPS)
     y = x / safe
     out = (grad - (grad * y).sum(axis=1, keepdims=True) * y) / safe
     return np.where(live, out, 0.0)
@@ -315,6 +317,7 @@ def loss_supcon(
 # Optimizer
 # --------------------------------------------------------------------------
 
+ADAM_LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -390,17 +393,18 @@ def gradcheck(model: ModelGraph, loss_fn, epsilon: float = 1e-5) -> GradCheckRep
     return GradCheckReport(worst, worst_index, params.size)
 
 
-def gradcheck_cases(batch: int = 6, dim: int = 5):
+def gradcheck_cases():
     """One (name, model, loss_fn) case per loss in the module, on fixed small
     models whose relu pre-activations sit away from kinks at the default FD
     step. loss_fn(model) -> (loss, flat gradient); suitable for gradcheck()."""
+    batch, dim = 6, 5
     rng = np.random.default_rng(42)
     x = rng.normal(size=(batch, dim))
     y = rng.integers(0, 3, size=batch)
     target = rng.normal(size=(batch, dim))
     mask = (rng.random((batch, dim)) < 0.4).astype(float)
     xk = rng.normal(size=(3, batch, dim))
-    labels = np.array([0, 0, 1, 1, 0, 1])[:batch]
+    labels = np.array([0, 0, 1, 1, 0, 1])
 
     def cons_fn(m):
         fwds = [m.forward(xk[k]) for k in range(3)]

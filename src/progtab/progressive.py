@@ -39,8 +39,9 @@ class RunConfig:
     """Everything one progressive experiment needs; defaults follow the
     reference setups (propagation threshold 0.9, classifier threshold 0.8 =
     midpoint of the stated [0.7, 0.9] range, 5 runs for the vime pipeline and
-    4 for cmixup). The loss weights, temperature and mixup alpha that no
-    experiment varies are constants in cmixup and vime."""
+    4 for cmixup). The loss weights, temperature, mixup alpha, Adam step and
+    one-layer encoders that no experiment varies are constants in nn, cmixup
+    and vime."""
 
     name: str = ""
     pipeline: str = "vime"
@@ -55,8 +56,6 @@ class RunConfig:
     # network shapes and optimization
     latent_dim: int = 32
     predictor_hidden: tuple[int, ...] = (256, 128)
-    encoder_hidden: tuple[int, ...] = ()
-    learning_rate: float = 1e-3
     batch_size: int = 256
     # vime step hyperparameters (also the second step of cmixup)
     p_mask: float = 0.3
@@ -74,8 +73,6 @@ class RunConfig:
     def __post_init__(self):
         if isinstance(self.predictor_hidden, list):
             self.predictor_hidden = tuple(self.predictor_hidden)
-        if isinstance(self.encoder_hidden, list):
-            self.encoder_hidden = tuple(self.encoder_hidden)
         if isinstance(self.component_flags, list):
             self.component_flags = tuple(self.component_flags)
 
@@ -125,10 +122,8 @@ class RunConfig:
                         ("warmup_epochs", 0), ("encoder_epochs", 0)):
             if getattr(self, nm) < low:
                 problems.append(f"{nm} must be >= {low}")
-        if min(self.predictor_hidden + self.encoder_hidden, default=1) < 1:
+        if min(self.predictor_hidden, default=1) < 1:
             problems.append("hidden layer widths must be >= 1")
-        if not self.learning_rate > 0:
-            problems.append("learning_rate must be > 0")
         if self.encoding == "target" and not self.te_smoothing > 0:
             problems.append("te_smoothing must be > 0")
         if self.beta_consistency < 0:
@@ -269,21 +264,18 @@ def _train_vime_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConf
     curves = {}
     model = build_vime_model(
         xl.shape[1], num_classes, latent_dim=config.latent_dim,
-        predictor_hidden=config.predictor_hidden,
-        encoder_hidden=config.encoder_hidden, seed=seed,
+        predictor_hidden=config.predictor_hidden, seed=seed,
         with_encoder=config.pretext_enabled,
     )
     spec = CorruptionSpec(config.p_mask, seed=seed)
     if config.pretext_enabled:
-        _, pre_curve = vime.pretext_train(
-            model, xu, spec, epochs=config.pretext_epochs, batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
-        )
+        _, pre_curve = vime.pretext_train(model, xu, spec, epochs=config.pretext_epochs,
+                                          batch_size=config.batch_size)
         curves["pretext"] = _curve_to_json(pre_curve)
     _, semi_curve = vime.semisup_train(
         model, xl, yl, xu, spec, beta=config.beta_consistency,
         k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
-        batch_size=config.batch_size, learning_rate=config.learning_rate,
+        batch_size=config.batch_size,
     )
     curves["semisup"] = _curve_to_json(semi_curve)
     pl_labels, pl_conf = vime.predict(model, xu)
@@ -297,14 +289,12 @@ def _train_cmixup_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunCo
     """Returns the step-2 model (the trained encoder plus a predictor), the
     pseudo-labels and the loss curves."""
     curves = {}
-    cm = cmixup.build_cmixup_model(
-        xl.shape[1], num_classes, latent_dim=config.latent_dim,
-        flags=config.component_flags, encoder_hidden=config.encoder_hidden, seed=seed,
-    )
+    cm = cmixup.build_cmixup_model(xl.shape[1], num_classes, latent_dim=config.latent_dim,
+                                   flags=config.component_flags, seed=seed)
     cm, prop, enc_curve = cmixup.encoder_train(
         cm, xl, yl, xu, num_classes, warmup_epochs=config.warmup_epochs,
         epochs=config.encoder_epochs, knn_k=config.knn_k,
-        batch_size=config.batch_size, learning_rate=config.learning_rate, seed=seed,
+        batch_size=config.batch_size, seed=seed,
     )
     curves["encoder"] = _curve_to_json(enc_curve)
 
@@ -318,7 +308,7 @@ def _train_cmixup_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunCo
     _, semi_curve = vime.semisup_train(
         vm, xl, yl, xu, spec, beta=config.beta_consistency,
         k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
-        batch_size=config.batch_size, learning_rate=config.learning_rate,
+        batch_size=config.batch_size,
     )
     curves["semisup"] = _curve_to_json(semi_curve)
 

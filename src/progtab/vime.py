@@ -70,15 +70,14 @@ def build_vime_model(
     num_classes: int,
     latent_dim: int = 32,
     predictor_hidden: tuple[int, ...] = (256, 128),
-    encoder_hidden: tuple[int, ...] = (),
     seed: int = 0,
     with_encoder: bool = True,
 ) -> VimeModel:
     """Fresh model; each component draws from its own seed stream so the
-    predictor initialization is identical with or without the encoder. Every
-    component is float32."""
+    predictor initialization is identical with or without the encoder. The
+    encoder is one dense relu layer. Every component is float32."""
     if with_encoder:
-        encoder = ModelGraph.mlp(input_dim, encoder_hidden, latent_dim, "relu",
+        encoder = ModelGraph.mlp(input_dim, (), latent_dim, "relu",
                                  seed=derive_seed(seed, "encoder"), dtype=np.float32)
         feature_decoder = ModelGraph.mlp(latent_dim, (), input_dim, "identity",
                                          seed=derive_seed(seed, "feature-decoder"),
@@ -128,7 +127,7 @@ def pretext_train(
     spec: CorruptionSpec,
     epochs: int = 10,
     batch_size: int = 256,
-    learning_rate: float = 1e-3,
+    learning_rate: float = nn.ADAM_LEARNING_RATE,
 ) -> tuple[VimeModel, list[dict]]:
     """Denoising pretext training: reconstruction MSE + mask BCE.
 
@@ -188,7 +187,6 @@ def semisup_train(
     k_corruptions: int = 3,
     epochs: int = 20,
     batch_size: int = 256,
-    learning_rate: float = 1e-3,
 ) -> tuple[VimeModel, list[dict]]:
     """Predictor training: CE on corrupted labeled batches + beta * consistency
     across k_corruptions corrupted copies of unlabeled batches.
@@ -205,7 +203,7 @@ def semisup_train(
     rng_unlab = seeded_rng(spec.seed, "semisup-unlab")
     rng_corrupt = seeded_rng(spec.seed, "semisup-corrupt")
     use_unlab = beta > 0.0 and k_corruptions >= 2 and x_unlab.shape[0] >= 2
-    opt_pred = make_optimizer(model.predictor, learning_rate)
+    opt_pred = make_optimizer(model.predictor, nn.ADAM_LEARNING_RATE)
     n_lab = x_lab.shape[0]
     n_unlab = x_unlab.shape[0]
     curve = []

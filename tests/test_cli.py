@@ -62,7 +62,8 @@ class TestConfigParsing:
                       "optimizer", "propagation_source", "mixup_pairs_per_anchor",
                       "fine_tune_encoder", "laplace_alpha", "projection_dim",
                       "alpha_mask", "w_recon", "w_supcon", "w_clf",
-                      "supcon_temperature", "mixup_beta_alpha", "alpha_diff"):
+                      "supcon_temperature", "mixup_beta_alpha", "alpha_diff",
+                      "learning_rate", "encoder_hidden"):
             payload = tiny_payload(tmp_path, [
                 {"preset": "supervised", "overrides": {field: 1}}])
             with pytest.raises(Exception, match=field):
@@ -70,7 +71,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("field,value", [
         ("predictor_hidden", "abc"), ("predictor_hidden", [16.5]), ("semisup_epochs", 7.5),
-        ("update_enabled", 1), ("knn_k", True), ("learning_rate", "0.1"),
+        ("update_enabled", 1), ("knn_k", True), ("p_mask", "0.1"),
         ("refinement_mode", 3), ("n_runs", "2"), ("component_flags", [1]),
     ])
     def test_ill_typed_override_rejected(self, tmp_path, field, value):
@@ -80,12 +81,12 @@ class TestConfigParsing:
                 parse_experiment_config(tiny_payload(tmp_path, [entry]))
 
     def test_well_typed_overrides_accepted(self, tmp_path):
-        overrides = {"learning_rate": 1, "n_runs": None, "predictor_hidden": [16],
-                     "encoder_hidden": [], "update_enabled": False, "name": "x",
+        overrides = {"beta_consistency": 2, "n_runs": None, "predictor_hidden": [16],
+                     "update_enabled": False, "name": "x",
                      "component_flags": ["decoder"], "classifier_threshold": 0.5}
         cfg = parse_experiment_config(tiny_payload(tmp_path, [
             {"preset": "supervised", "overrides": overrides}]))
-        assert cfg.methods[0].learning_rate == 1
+        assert cfg.methods[0].beta_consistency == 2
         assert cfg.methods[0].predictor_hidden == (16,)
         assert cfg.methods[0].n_runs is None
 
@@ -289,10 +290,6 @@ class TestCliEntry:
         out = capsys.readouterr().out
         assert "supcon" in out and "worst" in out
 
-    def test_gradcheck_zero_epsilon_exits_1(self, capsys):
-        assert main(["gradcheck", "--epsilon", "0"]) == 1
-        assert "--epsilon must be > 0" in capsys.readouterr().err
-
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) in (1, 2)
 
@@ -343,10 +340,35 @@ class TestCliEntry:
         (lambda p: {**p, "seeds": ["a"]}, "seeds must be distinct non-negative integers"),
         (lambda p: {**p, "seeds": [True]}, "seeds must be distinct non-negative integers"),
         (lambda p: {**p, "seeds": [0, 0]}, "seeds must be distinct non-negative integers"),
+        (lambda p: {**p, "seed": [1, 2]}, "unknown experiment config keys ['seed']"),
+        (lambda p: {**p, "methods": [{"preset": "vime_semi",
+                                      "override": {"semisup_epochs": 3}}]},
+         "unknown method keys ['override']"),
+        (lambda p: {**p, "methods": [{"preset": "supervised",
+                                      "config": {"semisup_epochs": 3}}]},
+         "unknown method keys ['config']"),
+        (lambda p: {**p, "methods": [{"preset": "cmixup_ablation_matrix", "name": "m"}]},
+         "unknown cmixup_ablation_matrix keys ['name']"),
+        (lambda p: {**p, "methods": [{"preset": "cmixup_ablation_matrix",
+                                      "overrides": {"pipeline": "vime", "knn_k": 20}}]},
+         "cmixup_ablation_matrix sets ['pipeline'] itself"),
+        (lambda p: {**p, "methods": [{"preset": "cmixup_ablation_matrix",
+                                      "overrides": {"component_flags": ["decoder"],
+                                                    "refinement_mode": "none"}}]},
+         "cmixup_ablation_matrix sets ['component_flags', 'refinement_mode'] itself"),
+        (lambda p: {**p, "dataset": {**p["dataset"], "presets": "small"}},
+         "unknown synthetic dataset keys ['presets']"),
+        (lambda p: {**p, "dataset": {"kind": "csv", "path": "d.csv", "label": "y"}},
+         "unknown csv dataset keys ['label']"),
+        (lambda p: {**p, "dataset": {**p["dataset"], "preset": "small"}},
+         "synthetic dataset takes a preset or a spec, not both"),
     ], ids=["top-level-list", "method-number", "split-list", "split-fraction-string",
             "dataset-string", "overrides-list", "preset-list", "name-number",
             "output-dir-number", "seeds-number", "negative-seed", "string-seed", "bool-seed",
-            "repeated-seed"])
+            "repeated-seed", "unknown-top-level-key", "unknown-method-key",
+            "method-config-key", "ablation-name-key", "ablation-pipeline-override",
+            "ablation-cell-overrides", "unknown-synthetic-key",
+            "unknown-csv-key", "preset-and-spec"])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_malformed_config_exits_1(self, tmp_path, capsys, edit, message, verb):
         payload = edit(tiny_payload(tmp_path, [{"preset": "supervised"}]))
@@ -380,6 +402,18 @@ class TestCliEntry:
         captured = capsys.readouterr()
         assert f"csv file not found: {missing}" in captured.out + captured.err
         assert "config ok" not in captured.out
+
+    def test_repeated_csv_column_exits_1(self, tmp_path, capsys):
+        # validate does not read the file; run does, before any training
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("a,a,label\nx,p,0\ny,q,1\n", encoding="utf-8")
+        payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
+        payload["dataset"] = {"kind": "csv", "path": str(csv_path), "label_column": "label"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "repeated column names ['a']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_ill_typed_override_exits_1(self, tmp_path, capsys, verb):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 3"):
             load_csv(p, label_column="y")
 
+    @pytest.mark.parametrize("header,repeated", [("a,a,y", "a"), ("a,y,y", "y")])
+    def test_repeated_column_name_rejected(self, tmp_path, header, repeated):
+        # count tables and encoded blocks are keyed by column name
+        p = write_csv(tmp_path, f"{header}\nu,v,0\nw,x,1\n")
+        with pytest.raises(DataError, match=re.escape(f"repeated column names ['{repeated}']")):
+            load_csv(p, label_column="y")
+
     def test_row_width_mismatch_names_row(self, tmp_path):
         p = write_csv(tmp_path, "a,b\n1,2\n1\n")
         with pytest.raises(DataError, match="row 3"):
@@ -87,6 +96,13 @@ class TestLoadCsv:
         # index -> value -> index round trip
         for i, v in enumerate(dom):
             assert dom.index(v) == i
+
+
+class TestTabularDataset:
+    def test_repeated_column_name_rejected(self):
+        schema = (ColumnSchema("a", "numerical"), ColumnSchema("a", "numerical"))
+        with pytest.raises(DataError, match=re.escape("repeated column names ['a']")):
+            TabularDataset(schema, np.zeros((2, 2)), None, 0)
 
 
 class TestScaler:

@@ -253,7 +253,7 @@ class TestRunProgressive:
                                  laplace_alpha=1.0, projection_dim=32, alpha_mask=1.0,
                                  w_recon=1.0, w_supcon=1.0, w_clf=0.5,
                                  supcon_temperature=0.1, mixup_beta_alpha=0.2,
-                                 alpha_diff=0.99)
+                                 alpha_diff=0.99, learning_rate=1e-3, encoder_hidden=[])
         back = ExperimentReport.from_json(json.dumps(payload))
         assert back.config["warm_start"] is False
         assert back.final_test_accuracy == payload["final_test_accuracy"]
