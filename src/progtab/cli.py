@@ -2,10 +2,12 @@
 matrix, report and table emission.
 
 Config files are JSON. An experiment names a dataset source (csv path or a
-synthetic preset/spec), split fractions, a method list, and seeds; every
-(method, seed) pair runs independently (optionally in a process pool) and
-writes a self-contained JSON report. The results table is re-renderable from
-those reports alone.
+synthetic preset/spec), split fractions, a method list, and seeds. Parsing
+checks all of it; `validate` then loads the dataset exactly as `run` does.
+`run` and `sweep-ratio` share one pair runner: every (method, seed) pair runs
+independently (optionally in a process pool), and a failed pair does not stop
+the others. `run` writes a self-contained JSON report per pair, from which
+alone the results table re-renders.
 
 Exit codes: 0 ok, 1 config error, 2 runtime failure.
 """
@@ -49,6 +51,7 @@ DATASET_KEYS = {
     "csv": ("kind", "path", "label_column", "kind_overrides", "drop_columns", "num_classes"),
 }
 METRIC = "final_test_accuracy"
+UNSTRATIFIED = "stratification infeasible, plain random labeled subset in use"
 
 
 def method_presets() -> dict[str, RunConfig]:
@@ -121,49 +124,13 @@ def ablation_methods(base: RunConfig | None = None) -> list[RunConfig]:
 
 @dataclass
 class ExperimentConfig:
-    dataset: dict  # {"kind": "synthetic", "preset"|"spec": ...} | {"kind": "csv", ...}
+    """A config as parse_experiment_config returns it, checked in full."""
+
+    dataset: SyntheticSpec | dict  # a SyntheticSpec, or load_csv keyword arguments
     split: SplitSpec
     methods: list[RunConfig]
     seeds: list[int]
     output_dir: str
-
-    def validate(self) -> list[str]:
-        problems = []
-        if not self.methods:
-            problems.append("no methods configured")
-        if not self.seeds:
-            problems.append("no seeds configured")
-        elif not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                     for s in self.seeds) or len(set(self.seeds)) != len(self.seeds):
-            problems.append(f"seeds must be distinct non-negative integers, got {self.seeds}")
-        names = [m.name for m in self.methods]
-        if len(set(names)) != len(names):
-            problems.append("method names must be unique")
-        kind = self.dataset.get("kind")
-        if kind == "synthetic":
-            preset = self.dataset.get("preset")
-            if preset is not None and preset not in SYNTHETIC_PRESETS:
-                problems.append(f"unknown synthetic preset {preset!r}")
-            if preset is not None and "spec" in self.dataset:
-                problems.append("synthetic dataset takes a preset or a spec, not both")
-            if preset is None and "spec" not in self.dataset:
-                problems.append("synthetic dataset needs a preset or a spec")
-            elif preset is None:
-                try:
-                    _synthetic_spec(self.dataset["spec"])
-                except ConfigError as exc:
-                    problems.append(str(exc))
-        elif kind == "csv":
-            if "path" not in self.dataset:
-                problems.append("csv dataset needs a path")
-            elif not os.path.isfile(self.dataset["path"]):
-                problems.append(f"csv file not found: {self.dataset['path']}")
-        else:
-            problems.append(f"unknown dataset kind {kind!r}")
-        for m in self.methods:
-            for p in m.validate():
-                problems.append(f"method {m.name!r}: {p}")
-        return problems
 
 
 def _fits(value, default) -> bool:
@@ -205,20 +172,53 @@ def _section(payload: dict, key: str, kind: type, default):
     if key not in payload:
         return default
     value = payload[key]
-    if not isinstance(value, kind):
-        expected = {dict: "an object", list: "a list", str: "a string"}[kind]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        expected = {dict: "an object", list: "a list", str: "a string", int: "an integer"}[kind]
         raise ConfigError(f"{key} must be {expected}, got {json.dumps(value)}")
     return value
 
 
+def _dataset_source(dataset: dict) -> SyntheticSpec | dict:
+    """What load_dataset takes for a `dataset` section: a SyntheticSpec, or
+    load_csv keyword arguments whose types have been checked."""
+    kind = dataset.get("kind")
+    if not isinstance(kind, str) or kind not in DATASET_KEYS:
+        raise ConfigError(f"unknown dataset kind {kind!r}")
+    _check_keys(dataset, DATASET_KEYS[kind], f"{kind} dataset")
+    if kind == "synthetic":
+        preset = _section(dataset, "preset", str, None)
+        spec = _section(dataset, "spec", dict, None)
+        if preset is not None and spec is not None:
+            raise ConfigError("synthetic dataset takes a preset or a spec, not both")
+        if preset is not None:
+            if preset not in SYNTHETIC_PRESETS:
+                raise ConfigError(f"unknown synthetic preset {preset!r}")
+            return SYNTHETIC_PRESETS[preset]
+        if spec is None:
+            raise ConfigError("synthetic dataset needs a preset or a spec")
+        return _synthetic_spec(spec)
+    path = _section(dataset, "path", str, None)
+    if path is None:
+        raise ConfigError("csv dataset needs a path")
+    kind_overrides = _section(dataset, "kind_overrides", dict, {})
+    drop_columns = _section(dataset, "drop_columns", list, [])
+    if not all(isinstance(v, str) for v in [*kind_overrides.values(), *drop_columns]):
+        raise ConfigError("kind_overrides values and drop_columns entries must be strings")
+    source = dict(path=path, label_column=_section(dataset, "label_column", str, None),
+                  kind_overrides=kind_overrides, drop_columns=drop_columns,
+                  num_classes=_section(dataset, "num_classes", int, None))
+    if not os.path.isfile(path):
+        raise ConfigError(f"csv file not found: {path}")
+    return source
+
+
 def parse_experiment_config(payload: dict) -> ExperimentConfig:
+    """The ExperimentConfig a JSON payload describes; every problem with the
+    config is raised here as a ConfigError."""
     if not isinstance(payload, dict):
         raise ConfigError(f"an experiment config must be an object, got {type(payload).__name__}")
     _check_keys(payload, EXPERIMENT_KEYS, "experiment config")
-    dataset = _section(payload, "dataset", dict, {})
-    kind = dataset.get("kind")
-    if isinstance(kind, str) and kind in DATASET_KEYS:  # validate() reports other kinds
-        _check_keys(dataset, DATASET_KEYS[kind], f"{kind} dataset")
+    dataset = _dataset_source(_section(payload, "dataset", dict, {}))
     split_d = _section(payload, "split", dict, {})
     _check_keys(split_d, SPLIT_DEFAULTS, "split")
     split_d = {**SPLIT_DEFAULTS, **split_d}
@@ -256,7 +256,21 @@ def parse_experiment_config(payload: dict) -> ExperimentConfig:
     seeds = _section(payload, "seeds", list, list(DEFAULT_SEEDS))
     out = (_section(payload, "output_dir", str, "")
            or os.environ.get(OUTPUT_DIR_ENV, "progtab-out"))
-    return ExperimentConfig(dict(dataset), split, methods, seeds, out)
+    problems = []
+    if not methods:
+        problems.append("no methods configured")
+    if not seeds:
+        problems.append("no seeds configured")
+    elif not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                 for s in seeds) or len(set(seeds)) != len(seeds):
+        problems.append(f"seeds must be distinct non-negative integers, got {seeds}")
+    names = [m.name for m in methods]
+    if len(set(names)) != len(names):
+        problems.append("method names must be unique")
+    problems += [f"method {m.name!r}: {p}" for m in methods for p in m.validate()]
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return ExperimentConfig(dataset, split, methods, seeds, out)
 
 
 def _synthetic_spec(fields) -> SyntheticSpec:
@@ -267,23 +281,11 @@ def _synthetic_spec(fields) -> SyntheticSpec:
         raise ConfigError(f"synthetic spec: {exc}") from None
 
 
-def load_dataset(dataset_cfg: dict) -> TabularDataset:
-    kind = dataset_cfg.get("kind")
-    if kind == "synthetic":
-        if "preset" in dataset_cfg and dataset_cfg["preset"] is not None:
-            spec = SYNTHETIC_PRESETS[dataset_cfg["preset"]]
-        else:
-            spec = _synthetic_spec(dataset_cfg["spec"])
-        return synthesize_dataset(spec)
-    if kind == "csv":
-        return load_csv(
-            dataset_cfg["path"],
-            label_column=dataset_cfg.get("label_column"),
-            kind_overrides=dataset_cfg.get("kind_overrides"),
-            drop_columns=dataset_cfg.get("drop_columns"),
-            num_classes=dataset_cfg.get("num_classes"),
-        )
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+def load_dataset(source: SyntheticSpec | dict) -> TabularDataset:
+    """The dataset of a parsed config's `dataset`."""
+    if isinstance(source, SyntheticSpec):
+        return synthesize_dataset(source)
+    return load_csv(**source)
 
 
 @dataclass
@@ -331,38 +333,46 @@ def _run_pair(args):
     split = make_split(ds, replace(split_spec, seed=seed))
     cfg = replace(method, seed=seed)
     cfg.name = method.name
-    return run_progressive(ds, split, cfg)
+    return run_progressive(ds, split, cfg), split.stratified
+
+
+def _run_pairs(ds: TabularDataset, split_spec: SplitSpec, config: ExperimentConfig,
+               jobs: int = 1):
+    """Run every (method, seed) pair of config, serially or in a pool of
+    `jobs` processes. Returns the reports in pair order, one line per failed
+    pair, and the seeds whose labeled subset could not be stratified."""
+    pairs = [(ds, split_spec, method, seed)
+             for method in config.methods for seed in config.seeds]
+    reports, failures, unstratified = [], [], set()
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    try:
+        # one call per pair that returns its outcome; a pool starts them all at once
+        calls = ([pool.submit(_run_pair, args).result for args in pairs] if pool
+                 else [lambda args=args: _run_pair(args) for args in pairs])
+        for args, call in zip(pairs, calls):  # merge in pair order
+            try:
+                report, stratified = call()
+            except Exception as exc:  # keep partial results on failure
+                failures.append(f"{args[2].name} seed {args[3]}: {exc}")
+                continue
+            reports.append(report)
+            if not stratified:
+                unstratified.add(args[3])
+    finally:
+        if pool:
+            pool.shutdown()
+    return reports, failures, [seed for seed in config.seeds if seed in unstratified]
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1):
     """Execute every (method, seed) pair; write JSON reports and the results
     table (CSV + Markdown + JSON). Partial reports survive failures."""
-    problems = config.validate()
-    if problems:
-        raise ConfigError("; ".join(problems))
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     ds = load_dataset(config.dataset)
-    os.makedirs(config.output_dir, exist_ok=True)
     report_dir = os.path.join(config.output_dir, "reports")
     os.makedirs(report_dir, exist_ok=True)
-
-    pairs = [(ds, config.split, method, seed)
-             for method in config.methods for seed in config.seeds]
-    reports: list[ExperimentReport] = []
-    failures: list[str] = []
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_pair, args) for args in pairs]
-            for args, fut in zip(pairs, futures):  # merge in pair order
-                try:
-                    reports.append(fut.result())
-                except Exception as exc:
-                    failures.append(f"{args[2].name} seed {args[3]}: {exc}")
-    else:
-        for args in pairs:
-            try:
-                reports.append(_run_pair(args))
-            except Exception as exc:  # keep partial results on failure
-                failures.append(f"{args[2].name} seed {args[3]}: {exc}")
+    reports, failures, unstratified = _run_pairs(ds, config.split, config, jobs)
     for report in reports:
         path = os.path.join(report_dir, f"{_method_slug(report.method)}_seed{report.seed}.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -371,12 +381,12 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
     if reports:
         table = render_table(reports, [m.name for m in config.methods
                                        if any(r.method == m.name for r in reports)])
-        with open(os.path.join(config.output_dir, "results.json"), "w") as fh:
-            fh.write(table.to_json())
-        with open(os.path.join(config.output_dir, "results.csv"), "w") as fh:
-            fh.write(table.to_csv())
-        with open(os.path.join(config.output_dir, "results.md"), "w") as fh:
-            fh.write(table.to_markdown())
+        for ext, text in (("json", table.to_json()), ("csv", table.to_csv()),
+                          ("md", table.to_markdown())):
+            with open(os.path.join(config.output_dir, f"results.{ext}"), "w") as fh:
+                fh.write(text)
+    for seed in unstratified:
+        print(f"warning: seed {seed}: {UNSTRATIFIED}", file=sys.stderr)
     if failures:
         raise RuntimeError("failed pairs: " + "; ".join(failures))
     return table, reports
@@ -384,37 +394,32 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1):
 
 def emit_ratio_sweep(config: ExperimentConfig, ratios: list[float]):
     """Run every configured method at each labeled ratio; emit
-    (method, ratio, mean, std, n_seeds) rows and plot-ready CSV."""
+    (method, ratio, mean, std, n_seeds) rows and plot-ready CSV. The rows of
+    the pairs that ran are written even when other pairs fail."""
     for r in ratios:
         if not 0.0 < r < 1.0:
             raise ConfigError(f"ratio {r} outside (0, 1)")
-    problems = config.validate()
-    if problems:
-        raise ConfigError("; ".join(problems))
+    if len(set(ratios)) != len(ratios):
+        raise ConfigError(f"ratios must be distinct, got {ratios}")
     ds = load_dataset(config.dataset)
     os.makedirs(config.output_dir, exist_ok=True)
-    rows = []
-    warnings: list[str] = []
+    rows, warnings, failures = [], [], []
     for ratio in ratios:
         split_spec = replace(config.split, labeled_fraction_of_train=ratio)
-        for seed in config.seeds:
-            if not make_split(ds, replace(split_spec, seed=seed)).stratified:
-                warnings.append(
-                    f"ratio {ratio} seed {seed}: stratification infeasible, "
-                    "plain random labeled subset in use")
-        summary = compare_runs([_run_pair((ds, split_spec, method, seed))
-                                for method in config.methods for seed in config.seeds])
-        for method in config.methods:
-            s = summary[method.name]
-            rows.append((method.name, ratio, s["mean"], s["std"], s["n_seeds"]))
-    csv_lines = ["method,ratio,mean_acc,std_acc,n_seeds"]
-    for name, ratio, mean, std, n in rows:
-        csv_lines.append(f"{name},{ratio!r},{mean!r},{std!r},{n}")
-    csv_text = "\n".join(csv_lines) + "\n"
+        reports, failed, unstratified = _run_pairs(ds, split_spec, config)
+        failures += [f"ratio {ratio}: {f}" for f in failed]
+        warnings += [f"ratio {ratio} seed {seed}: {UNSTRATIFIED}" for seed in unstratified]
+        summary = compare_runs(reports) if reports else {}
+        rows += [(m.name, ratio, s["mean"], s["std"], s["n_seeds"])
+                 for m in config.methods if (s := summary.get(m.name))]
+    lines = ["method,ratio,mean_acc,std_acc,n_seeds"]
+    lines += [f"{name},{ratio!r},{mean!r},{std!r},{n}" for name, ratio, mean, std, n in rows]
     with open(os.path.join(config.output_dir, "ratio_sweep.csv"), "w") as fh:
-        fh.write(csv_text)
+        fh.write("\n".join(lines) + "\n")
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
+    if failures:
+        raise RuntimeError("failed pairs: " + "; ".join(failures))
     return rows, warnings
 
 
@@ -430,17 +435,18 @@ def _number_list(text: str, kind, flag: str) -> list:
 
 
 def _load_config_file(path: str, args) -> ExperimentConfig:
+    """The parsed config file, with --out and --seeds in place of its keys."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    cfg = parse_experiment_config(payload)
-    if args.out:
-        cfg.output_dir = args.out
-    if args.seeds:
-        cfg.seeds = _number_list(args.seeds, int, "--seeds")
-    return cfg
+    if isinstance(payload, dict):  # parsing rejects any other payload
+        if args.out:
+            payload["output_dir"] = args.out
+        if args.seeds:
+            payload["seeds"] = _number_list(args.seeds, int, "--seeds")
+    return parse_experiment_config(payload)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -470,23 +476,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
-            config = _load_config_file(args.config, args)
-            table, _ = run_experiment(config, jobs=args.jobs)
+            table, _ = run_experiment(_load_config_file(args.config, args), jobs=args.jobs)
             if table:
                 print(table.to_markdown())
             return 0
         if args.verb == "sweep-ratio":
             config = _load_config_file(args.config, args)
-            ratios = _number_list(args.ratios, float, "--ratios")
-            emit_ratio_sweep(config, ratios)
+            emit_ratio_sweep(config, _number_list(args.ratios, float, "--ratios"))
             return 0
         if args.verb == "validate":
-            config = _load_config_file(args.config, args)
-            problems = config.validate()
-            for pr in problems:
-                print(f"invalid: {pr}")
-            if problems:
-                return 1
+            load_dataset(_load_config_file(args.config, args).dataset)
             print("config ok")
             return 0
         if args.verb == "synth":

@@ -252,6 +252,10 @@ def load_csv(
         feature_names = [h for h in header if h != label_column]
         columns = [c for j, c in enumerate(columns) if j != li]
 
+    unknown = set(overrides) - set(feature_names)
+    if unknown:
+        raise DataError(f"kind_overrides names no feature column: {sorted(unknown)}")
+
     schema: list[ColumnSchema] = []
     cells = np.empty((len(raw_rows), len(feature_names)), dtype=np.float64)
     for m, name in enumerate(feature_names):

@@ -105,29 +105,29 @@ class TestConfigParsing:
 
 
 class TestValidate:
-    def base(self, tmp_path, methods):
-        return parse_experiment_config(tiny_payload(tmp_path, methods))
+    """Parsing runs every check, so a parsed config is a valid one."""
 
     def test_vime_two_step_invalid(self, tmp_path):
-        cfg = self.base(tmp_path, [
-            {"preset": "vime_semi", "overrides": {"refinement_mode": "two_step_agreement"}}])
-        problems = cfg.validate()
-        assert any("two_step" in p for p in problems)
+        with pytest.raises(ConfigError, match="two_step"):
+            parse_experiment_config(tiny_payload(tmp_path, [
+                {"preset": "vime_semi",
+                 "overrides": {"refinement_mode": "two_step_agreement"}}]))
 
     def test_cmixup_propagation_without_classifier_valid(self, tmp_path):
-        cfg = self.base(tmp_path, [{"preset": "progressive_cmixup_refine"}])
-        assert cfg.validate() == []
+        cfg = parse_experiment_config(tiny_payload(tmp_path, [
+            {"preset": "progressive_cmixup_refine"}]))
+        assert [m.name for m in cfg.methods] == ["progressive_cmixup_refine"]
 
     def test_empty_seeds_invalid(self, tmp_path):
         payload = tiny_payload(tmp_path, [{"preset": "supervised"}], seeds=())
-        cfg = parse_experiment_config(payload)
-        assert any("seeds" in p for p in cfg.validate())
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_experiment_config(payload)
 
     def test_classifier_threshold_needs_classifier_flag(self, tmp_path):
-        cfg = self.base(tmp_path, [
-            {"preset": "cmixup",
-             "overrides": {"refinement_mode": "classifier_threshold"}}])
-        assert any("classifier" in p for p in cfg.validate())
+        with pytest.raises(ConfigError, match="classifier"):
+            parse_experiment_config(tiny_payload(tmp_path, [
+                {"preset": "cmixup",
+                 "overrides": {"refinement_mode": "classifier_threshold"}}]))
 
 
 class TestRunExperiment:
@@ -215,6 +215,37 @@ class TestRatioSweep:
         assert warnings == [f"ratio 0.3 seed {seed}: stratification infeasible, "
                             "plain random labeled subset in use" for seed in (0, 1)]
 
+    def test_failed_pair_keeps_other_rows_and_exits_2(self, tmp_path, capsys, monkeypatch):
+        import progtab.cli as cli_mod
+
+        real_run = cli_mod.run_progressive
+
+        def run_progressive(ds, split, cfg):
+            if cfg.name == "broken":
+                raise RuntimeError("boom")
+            return real_run(ds, split, cfg)
+
+        monkeypatch.setattr(cli_mod, "run_progressive", run_progressive)
+        payload = tiny_payload(tmp_path, [
+            {"preset": "supervised", "overrides": fast_overrides()},
+            {"preset": "supervised", "name": "broken"},
+        ], n_rows=300)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["sweep-ratio", "--config", str(cfg_path), "--ratios", "0.3"]) == 2
+        assert "ratio 0.3: broken seed 0: boom" in capsys.readouterr().err
+        csv_path = os.path.join(payload["output_dir"], "ratio_sweep.csv")
+        lines = Path(csv_path).read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("supervised,0.3,")
+
+    def test_repeated_ratio_exits_1(self, tmp_path, capsys):
+        payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["sweep-ratio", "--config", str(cfg_path), "--ratios", "0.3,0.3"]) == 1
+        assert "ratios must be distinct, got [0.3, 0.3]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_ratio_rejected(self, tmp_path):
         payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
         cfg = parse_experiment_config(payload)
@@ -263,6 +294,33 @@ class TestCliEntry:
             outputs.append(((out / "results.md").read_text(), reports))
         assert len(outputs[0][1]) == 4
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_1_exits_1(self, tmp_path, capsys, jobs):
+        payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg_path), f"--jobs={jobs}"]) == 1
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_warns_once_per_unstratified_seed(self, tmp_path, capsys, monkeypatch):
+        import progtab.cli as cli_mod
+
+        real_split = cli_mod.make_split
+        monkeypatch.setattr(cli_mod, "make_split",
+                            lambda ds, spec: replace(real_split(ds, spec), stratified=False))
+        payload = tiny_payload(tmp_path, [
+            {"preset": "supervised", "overrides": fast_overrides()},
+            {"preset": "supervised", "overrides": fast_overrides(), "name": "again"},
+        ], seeds=(0, 1), n_rows=300)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert warnings == [f"warning: seed {seed}: stratification infeasible, "
+                            "plain random labeled subset in use" for seed in (0, 1)]
 
     def test_run_verb(self, tmp_path, capsys):
         payload = tiny_payload(tmp_path, [
@@ -362,13 +420,25 @@ class TestCliEntry:
          "unknown csv dataset keys ['label']"),
         (lambda p: {**p, "dataset": {**p["dataset"], "preset": "small"}},
          "synthetic dataset takes a preset or a spec, not both"),
+        (lambda p: {**p, "dataset": {"kind": "synthetic", "preset": ["small"]}},
+         'preset must be a string, got ["small"]'),
+        (lambda p: {**p, "dataset": {"kind": "csv", "path": "d.csv", "drop_columns": "ab"}},
+         'drop_columns must be a list, got "ab"'),
+        (lambda p: {**p, "dataset": {"kind": "csv", "path": "d.csv", "kind_overrides": ["a"]}},
+         'kind_overrides must be an object, got ["a"]'),
+        (lambda p: {**p, "dataset": {"kind": "csv", "path": "d.csv", "num_classes": "3"}},
+         'num_classes must be an integer, got "3"'),
+        (lambda p: {**p, "dataset": {"kind": "csv", "path": "d.csv", "drop_columns": [1]}},
+         "kind_overrides values and drop_columns entries must be strings"),
     ], ids=["top-level-list", "method-number", "split-list", "split-fraction-string",
             "dataset-string", "overrides-list", "preset-list", "name-number",
             "output-dir-number", "seeds-number", "negative-seed", "string-seed", "bool-seed",
             "repeated-seed", "unknown-top-level-key", "unknown-method-key",
             "method-config-key", "ablation-name-key", "ablation-pipeline-override",
             "ablation-cell-overrides", "unknown-synthetic-key",
-            "unknown-csv-key", "preset-and-spec"])
+            "unknown-csv-key", "preset-and-spec", "dataset-preset-list",
+            "drop-columns-string", "kind-overrides-list", "num-classes-string",
+            "drop-columns-number"])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_malformed_config_exits_1(self, tmp_path, capsys, edit, message, verb):
         payload = edit(tiny_payload(tmp_path, [{"preset": "supervised"}]))
@@ -404,16 +474,22 @@ class TestCliEntry:
         assert "config ok" not in captured.out
 
     def test_repeated_csv_column_exits_1(self, tmp_path, capsys):
-        # validate does not read the file; run does, before any training
+        # both verbs read the file before any training; so do the other bad files
         csv_path = tmp_path / "d.csv"
-        csv_path.write_text("a,a,label\nx,p,0\ny,q,1\n", encoding="utf-8")
         payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
         payload["dataset"] = {"kind": "csv", "path": str(csv_path), "label_column": "label"}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(payload))
-        assert main(["run", "--config", str(cfg_path)]) == 1
-        assert "repeated column names ['a']" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for text, message in [("a,a,label\nx,p,0\ny,q,1\n", "repeated column names ['a']"),
+                              ("a,b\nx,p\ny,q\n", "label column 'label' not in header"),
+                              ("a,label\nx,0\ny,one\n", "row 3: label 'one' not parseable")]:
+            csv_path.write_text(text, encoding="utf-8")
+            for verb in ("validate", "run"):
+                assert main([verb, "--config", str(cfg_path)]) == 1
+                captured = capsys.readouterr()
+                assert message in captured.err
+                assert "config ok" not in captured.out
+                assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_ill_typed_override_exits_1(self, tmp_path, capsys, verb):

@@ -88,6 +88,14 @@ class TestLoadCsv:
         assert ds.schema[0].kind == "categorical"
         assert ds.schema[0].cardinality == 2
 
+    @pytest.mark.parametrize("name", ["nn", "y", "d"], ids=["typo", "label", "dropped"])
+    def test_kind_override_of_no_feature_rejected(self, tmp_path, name):
+        p = write_csv(tmp_path, "z,d,y\n1,a,0\n2,b,1\n")
+        message = f"kind_overrides names no feature column: ['{name}']"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_csv(p, label_column="y", drop_columns=["d"],
+                     kind_overrides={name: "categorical"})
+
     def test_domain_bijection(self, tmp_path):
         p = write_csv(tmp_path, "c\n" + "\n".join("abcabdbe") + "\n")
         ds = load_csv(p)
