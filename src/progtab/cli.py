@@ -489,6 +489,8 @@ def main(argv: list[str] | None = None) -> int:
             print("config ok")
             return 0
         if args.verb == "synth":
+            if args.spec and args.preset:
+                raise ConfigError("synth takes --preset or --spec, not both")
             if args.spec:
                 spec = _synthetic_spec(json.loads(args.spec))
             elif args.preset:

@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import nn
-from .nn import ModelGraph, make_optimizer, seeded_rng, step
-from .vime import TrainingDiverged, derive_seed
+from .nn import ModelGraph, TrainingDiverged, derive_seed, make_optimizer, seeded_rng, step
 
 if TYPE_CHECKING:
     import scipy.sparse as sp

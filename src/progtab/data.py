@@ -203,6 +203,9 @@ def load_csv(
     integer class ids. drop_columns removes features entirely (e.g. datetime
     columns a given dataset excludes).
     """
+    for name, kind in (kind_overrides or {}).items():
+        if kind not in ("categorical", "numerical", "date"):
+            raise DataError(f"kind_overrides: unknown column kind {kind!r} for {name!r}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

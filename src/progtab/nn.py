@@ -43,10 +43,21 @@ class GradientError(RuntimeError):
         self.layer_index = layer_index
 
 
+class TrainingDiverged(RuntimeError):
+    def __init__(self, phase: str, epoch: int, detail: str):
+        super().__init__(f"{phase}: non-finite loss at epoch {epoch} ({detail})")
+        self.phase = phase
+        self.epoch = epoch
+
+
 def seeded_rng(seed: int, *tags) -> np.random.Generator:
     """Independent child stream per (seed, tags); stable across runs."""
     key = tuple(zlib.crc32(str(t).encode("utf-8")) for t in tags)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def derive_seed(seed: int, *tags) -> int:
+    return int(seeded_rng(seed, *tags).integers(0, 2**63))
 
 
 @dataclass
@@ -103,10 +114,7 @@ class ModelGraph:
         rng = np.random.default_rng(seed)
         layers = []
         for fan_in, fan_out, act in zip(dims, dims[1:], acts):
-            if act == "relu":
-                scale = np.sqrt(2.0 / fan_in)
-            else:
-                scale = np.sqrt(2.0 / (fan_in + fan_out))
+            scale = np.sqrt(2.0 / (fan_in if act == "relu" else fan_in + fan_out))
             w = scale * rng.standard_normal((fan_in, fan_out))
             layers.append(DenseLayer(w.astype(dtype), np.zeros(fan_out, dtype), act))
         return cls(layers)
@@ -187,12 +195,8 @@ def _activate_backward(kind: str, a: np.ndarray, grad: np.ndarray) -> np.ndarray
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere: never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # --------------------------------------------------------------------------
@@ -281,9 +285,6 @@ def loss_supcon(
         raise NnError("temperature must be > 0")
     z = np.asarray(projections)
     labels = np.asarray(labels, dtype=np.int64)
-    n = z.shape[0]
-    if n == 0:
-        return 0.0, np.zeros_like(z)
     sims = (z @ z.T) / temperature
     np.fill_diagonal(sims, -np.inf)  # an anchor is not its own candidate
     pos_mask = labels[:, None] == labels[None, :]
@@ -338,8 +339,8 @@ def make_optimizer(model: ModelGraph, learning_rate: float) -> OptimizerState:
                           np.zeros_like(model.params))
 
 
-def step(optimizer: OptimizerState, model: ModelGraph, grads: np.ndarray) -> ModelGraph:
-    """Apply one Adam update in place; returns the model for convenience."""
+def step(optimizer: OptimizerState, model: ModelGraph, grads: np.ndarray) -> None:
+    """Apply one Adam update in place."""
     optimizer.step_count += 1
     t = optimizer.step_count
     correct1 = 1.0 - ADAM_BETA1**t
@@ -353,7 +354,6 @@ def step(optimizer: OptimizerState, model: ModelGraph, grads: np.ndarray) -> Mod
     # temporaries are alive at once
     denom = np.sqrt(v / correct2) + ADAM_EPS
     model.params -= optimizer.learning_rate * (m / correct1) / denom
-    return model
 
 
 # --------------------------------------------------------------------------
@@ -407,14 +407,11 @@ def gradcheck_cases():
     labels = np.array([0, 0, 1, 1, 0, 1])
 
     def cons_fn(m):
-        fwds = [m.forward(xk[k]) for k in range(3)]
-        stack = np.stack([f.output for f in fwds])
-        loss, g = loss_consistency(stack)
-        total = np.zeros_like(m.params)
-        for k, f in enumerate(fwds):
-            gk, _ = m.backward(f, g[k])
-            total += gk
-        return loss, total
+        """The K copies share one forward and one backward, as in training."""
+        fwd = m.forward(xk.reshape(-1, dim))
+        loss, g = loss_consistency(fwd.output.reshape(3, batch, -1))
+        grads, _ = m.backward(fwd, g.reshape(fwd.output.shape))
+        return loss, grads
 
     def chained(loss):
         """loss_fn(model) on x for loss(output) -> (value, dL/d(output))."""

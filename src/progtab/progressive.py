@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__, cmixup, vime
 from .data import DataSplit, TabularDataset, apply_scaler, fit_scaler
 from .encoding import CountTable, encode, fit_cpr, fit_target_encoding
-from .nn import ModelGraph
-from .vime import CorruptionSpec, VimeModel, build_vime_model, derive_seed
+from .nn import ModelGraph, derive_seed
+from .vime import CorruptionSpec, VimeModel, build_vime_model
 
 DEFAULT_SEEDS = (123, 127, 131, 137)
 
@@ -248,10 +248,6 @@ class ExperimentReport:
         return cls(**payload)
 
 
-def run_seed(seed: int, run_index: int) -> int:
-    return derive_seed(seed, "run", run_index)
-
-
 def _curve_to_json(curve: list[dict]) -> dict:
     if not curve:
         return {}
@@ -351,7 +347,8 @@ def run_progressive(ds: TabularDataset, split: DataSplit, config: RunConfig) -> 
     for run_i in range(1, n_runs + 1):
         xl, xu, xt = np.split(encode(dss, rows, table).matrix, bounds)
         model, pls, curves = train_run(xl, labeled_labels, xu, split.unlabeled_idx,
-                                       ds.num_classes, config, run_seed(config.seed, run_i))
+                                       ds.num_classes, config,
+                                       derive_seed(config.seed, "run", run_i))
         test_acc = vime.accuracy(model, xt, y[split.test_idx])
 
         refined = refine_pseudo_labels(pls, config.refinement_mode,

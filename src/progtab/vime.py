@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .nn import ModelGraph, make_optimizer, seeded_rng, step
-
-
-class TrainingDiverged(RuntimeError):
-    def __init__(self, phase: str, epoch: int, detail: str):
-        super().__init__(f"{phase}: non-finite loss at epoch {epoch} ({detail})")
-        self.phase = phase
-        self.epoch = epoch
+from .nn import ModelGraph, TrainingDiverged, derive_seed, make_optimizer, seeded_rng, step
 
 
 @dataclass(frozen=True)
@@ -59,10 +52,6 @@ class VimeModel:
         if self.encoder is None:
             return x
         return self.encoder.forward(x).output
-
-
-def derive_seed(seed: int, *tags) -> int:
-    return int(seeded_rng(seed, *tags).integers(0, 2**63))
 
 
 def build_vime_model(
@@ -193,10 +182,15 @@ def semisup_train(
 
     Corruption is applied before the encoder in this step too (identity when
     p_mask=0), so scarce labeled rows are augmented the same way unlabeled
-    ones are. The encoder stays frozen. With beta=0 or no unlabeled rows the
-    unlabeled path is skipped entirely, which makes this the supervised
-    baseline; its rng streams are independent of the unlabeled ones, so
-    enabling the consistency term never perturbs the labeled path.
+    ones are. The encoder stays frozen. Each batch is one pass: the labeled
+    rows and the corrupted copies are stacked into one matrix, go through one
+    forward, and the CE gradient of the labeled rows and beta times the
+    consistency gradient of the copies go back through one backward. With
+    beta=0 or no unlabeled rows the unlabeled path is skipped entirely and the
+    labeled batch goes in alone, which makes this the supervised baseline; its
+    rng streams are independent of the unlabeled ones, so enabling the
+    consistency term never changes which rows or corruptions the labeled path
+    draws.
     """
     rng_lab = seeded_rng(spec.seed, "semisup-lab")
     rng_lab_corrupt = seeded_rng(spec.seed, "semisup-lab-corrupt")
@@ -217,23 +211,20 @@ def semisup_train(
             yb = y_lab[order[sl]]
             if spec.p_mask > 0.0 and xb.shape[0] >= 2:
                 xb, _ = corrupt(xb, spec.p_mask, rng_lab_corrupt)
-            pred_fwd = model.predictor.forward(model.latent(xb))
-            ce, g = nn.loss_crossentropy(pred_fwd.output, yb)
-            g_pred, _ = model.predictor.backward(pred_fwd, g, input_grad=False)
-
-            cons = 0.0
+            nb = xb.shape[0]  # the pass holds nb labeled rows, then the copies
             if use_unlab:
                 pick = np.arange(bi * batch_size, bi * batch_size + batch_size) % n_unlab
                 xu = x_unlab[u_order[pick]]
-                pred_fwds = []
-                for _ in range(k_corruptions):
-                    xt, _mask = corrupt(xu, spec.p_mask, rng_corrupt)
-                    pred_fwds.append(model.predictor.forward(model.latent(xt)))
-                stack = np.stack([f.output for f in pred_fwds])
-                cons, g_stack = nn.loss_consistency(stack)
-                for kf, pf in enumerate(pred_fwds):
-                    gk, _ = model.predictor.backward(pf, beta * g_stack[kf], input_grad=False)
-                    g_pred += gk
+                xb = np.concatenate([xb] + [corrupt(xu, spec.p_mask, rng_corrupt)[0]
+                                            for _ in range(k_corruptions)])
+            fwd = model.predictor.forward(model.latent(xb))
+            ce, g = nn.loss_crossentropy(fwd.output[:nb], yb)
+            cons = 0.0
+            if use_unlab:
+                cons, g_cons = nn.loss_consistency(
+                    fwd.output[nb:].reshape(k_corruptions, batch_size, -1))
+                g = np.concatenate([g, beta * g_cons.reshape(-1, g.shape[1])])
+            g_pred, _ = model.predictor.backward(fwd, g, input_grad=False)
 
             total = ce + beta * cons
             if not np.isfinite(total):

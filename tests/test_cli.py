@@ -343,6 +343,14 @@ class TestCliEntry:
         spec = json.dumps({"n_rows": 50, "bogus": 1})
         assert main(["synth", "--spec", spec, "--out", str(tmp_path / "s.csv")]) == 1
 
+    def test_synth_verb_preset_and_spec_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        spec = json.dumps({"n_rows": 50, "n_cat_cols": 1, "cardinality": 5, "n_num_cols": 1,
+                           "n_classes": 2, "signal_strength": 1.0, "seed": 9})
+        assert main(["synth", "--preset", "small", "--spec", spec, "--out", str(out)]) == 1
+        assert "config error: synth takes --preset or --spec, not both" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gradcheck_verb(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out

@@ -96,6 +96,13 @@ class TestLoadCsv:
             load_csv(p, label_column="y", drop_columns=["d"],
                      kind_overrides={name: "categorical"})
 
+    @pytest.mark.parametrize("cells", ["a\nb", "1\n2"], ids=["text", "numeric"])
+    def test_unknown_override_kind_named_before_cells_are_read(self, tmp_path, cells):
+        p = write_csv(tmp_path, f"z\n{cells}\n")
+        message = "kind_overrides: unknown column kind 'cat' for 'z'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_csv(p, kind_overrides={"z": "cat"})
+
     def test_domain_bijection(self, tmp_path):
         p = write_csv(tmp_path, "c\n" + "\n".join("abcabdbe") + "\n")
         ds = load_csv(p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from progtab import nn
+from progtab import nn, vime
 from progtab.data import SplitSpec, SyntheticSpec, make_split, synthesize_dataset
 from progtab.encoding import encode, fit_cpr
 from progtab.nn import DenseLayer, ModelGraph
@@ -177,6 +177,43 @@ class TestSemisup:
 
         for wa, wb in zip(run(), run()):
             assert np.array_equal(wa, wb)
+
+    def test_one_pass_gradient_equals_per_copy_sum(self, monkeypatch):
+        # one batch: 10 labeled rows (one class, so their order is moot) and
+        # 3 corrupted copies of 16 unlabeled rows
+        rng = np.random.default_rng(0)
+        x_lab, x_unlab = rng.normal(size=(10, 5)), rng.normal(size=(20, 5))
+        y_lab = np.full(10, 2)
+        predictor = ModelGraph.mlp(5, (8,), 3, "softmax", seed=1, dtype=np.float64)
+        initial = predictor.copy()
+        corrupted, grads = [], []
+        real_corrupt = vime.corrupt
+
+        def recording_corrupt(*args):
+            out = real_corrupt(*args)
+            corrupted.append(out[0])
+            return out
+
+        def recording_step(opt, model, g):
+            grads.append(g.copy())
+            nn.step(opt, model, g)
+
+        monkeypatch.setattr(vime, "corrupt", recording_corrupt)
+        monkeypatch.setattr(vime, "step", recording_step)
+        semisup_train(VimeModel(None, None, None, predictor), x_lab, y_lab, x_unlab,
+                      CorruptionSpec(0.3, seed=4), beta=0.5, k_corruptions=3, epochs=1,
+                      batch_size=16)
+
+        (xb,) = [x for x in corrupted if x.shape[0] == 10]
+        copies = [x for x in corrupted if x.shape[0] == 16]
+        assert len(copies) == 3 and len(grads) == 1
+        fwd = initial.forward(xb)
+        want, _ = initial.backward(fwd, nn.loss_crossentropy(fwd.output, y_lab)[1])
+        fwds = [initial.forward(x) for x in copies]
+        _, g_cons = nn.loss_consistency(np.stack([f.output for f in fwds]))
+        for f, g in zip(fwds, g_cons):
+            want += initial.backward(f, 0.5 * g)[0]
+        assert np.allclose(grads[0], want, rtol=1e-10, atol=0.0)
 
     @pytest.mark.slow
     def test_semisupervised_beats_supervised_on_average(self):
