@@ -299,7 +299,7 @@ def _train_cmixup_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunCo
     predictor = ModelGraph.mlp(config.latent_dim, config.predictor_hidden,
                                num_classes, "softmax",
                                seed=derive_seed(seed, "cm-step2-predictor"), dtype=np.float32)
-    vm = VimeModel(cm.encoder, None, None, predictor)
+    vm = VimeModel(cm.encoder, None, predictor)
     spec = CorruptionSpec(config.p_mask, seed=derive_seed(seed, "cm-step2"))
     _, semi_curve = vime.semisup_train(
         vm, xl, yl, xu, spec, beta=config.beta_consistency,

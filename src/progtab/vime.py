@@ -1,11 +1,15 @@
 """Two-step self-/semi-supervised pipeline on encoded tabular features.
 
 Step 1 pretrains an encoder with a denoising pretext task (reconstruct the
-uncorrupted features, predict the corruption mask). Step 2 trains a softmax
-predictor on the frozen latent with cross-entropy on labeled rows plus a
-consistency penalty across corrupted copies of unlabeled rows. Corruption
-operates on the encoded matrix, resampling masked entries from the empirical
-column marginal of the batch.
+uncorrupted features, predict the corruption mask). Both pretext heads read
+the same latent, so they are one dense identity decoder layer of twice the
+input width: its first half reconstructs the features, its second half gives
+the mask logits. Encoder and decoder train as one graph, with one forward,
+one backward and one Adam step per batch. Step 2 trains a softmax predictor
+on the frozen latent with cross-entropy on labeled rows plus a consistency
+penalty across corrupted copies of unlabeled rows. Corruption operates on the
+encoded matrix, resampling masked entries from the empirical column marginal
+of the batch.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .nn import ModelGraph, TrainingDiverged, derive_seed, make_optimizer, seeded_rng, step
+from .nn import (DenseLayer, ModelGraph, TrainingDiverged, derive_seed, make_optimizer,
+                 seeded_rng, step)
 
 
 @dataclass(frozen=True)
@@ -30,21 +35,29 @@ class CorruptionSpec:
 
 @dataclass
 class VimeModel:
-    """Encoder plus pretext decoders and predictor.
+    """Encoder plus pretext decoder and predictor.
 
-    encoder=None means the predictor consumes the encoded features directly
-    (the supervised baseline and the no-pretext ablation).
+    The decoder maps the latent to ``[reconstruction | mask logits]``, twice
+    the encoder's input width. encoder=None means the predictor consumes the
+    encoded features directly (the supervised baseline and the no-pretext
+    ablation); decoder=None means the model does no pretext training.
     """
 
     encoder: ModelGraph | None
-    feature_decoder: ModelGraph | None
-    mask_decoder: ModelGraph | None
+    decoder: ModelGraph | None
     predictor: ModelGraph
 
     def __post_init__(self):
+        if self.decoder is not None:
+            if self.encoder is None:
+                raise nn.NnError("a decoder needs an encoder")
+            if self.decoder.output_dim != 2 * self.encoder.input_dim:
+                raise nn.NnError(
+                    f"decoder width {self.decoder.output_dim} must be twice the input width "
+                    f"{self.encoder.input_dim}: [reconstruction | mask logits]")
         if self.encoder is not None:
             h = self.encoder.output_dim
-            for part in (self.feature_decoder, self.mask_decoder, self.predictor):
+            for part in (self.decoder, self.predictor):
                 if part is not None and part.input_dim != h:
                     raise nn.NnError("encoder output dim must match decoder/predictor input")
 
@@ -64,22 +77,25 @@ def build_vime_model(
 ) -> VimeModel:
     """Fresh model; each component draws from its own seed stream so the
     predictor initialization is identical with or without the encoder. The
-    encoder is one dense relu layer. Every component is float32."""
+    encoder is one dense relu layer. The decoder's two halves are drawn as
+    two separate input_dim-wide Glorot layers, from the "feature-decoder" and
+    "mask-decoder" streams, and stacked side by side. Every component is
+    float32."""
     if with_encoder:
         encoder = ModelGraph.mlp(input_dim, (), latent_dim, "relu",
                                  seed=derive_seed(seed, "encoder"), dtype=np.float32)
-        feature_decoder = ModelGraph.mlp(latent_dim, (), input_dim, "identity",
-                                         seed=derive_seed(seed, "feature-decoder"),
-                                         dtype=np.float32)
-        mask_decoder = ModelGraph.mlp(latent_dim, (), input_dim, "identity",
-                                      seed=derive_seed(seed, "mask-decoder"), dtype=np.float32)
+        halves = [ModelGraph.mlp(latent_dim, (), input_dim, "identity",
+                                 seed=derive_seed(seed, tag), dtype=np.float32).layers[0]
+                  for tag in ("feature-decoder", "mask-decoder")]
+        decoder = ModelGraph([DenseLayer(np.hstack([h.weight for h in halves]),
+                                         np.zeros(2 * input_dim, np.float32), "identity")])
         pred_in = latent_dim
     else:
-        encoder = feature_decoder = mask_decoder = None
+        encoder = decoder = None
         pred_in = input_dim
     predictor = ModelGraph.mlp(pred_in, predictor_hidden, num_classes, "softmax",
                                seed=derive_seed(seed, "predictor"), dtype=np.float32)
-    return VimeModel(encoder, feature_decoder, mask_decoder, predictor)
+    return VimeModel(encoder, decoder, predictor)
 
 
 def corrupt(
@@ -93,16 +109,13 @@ def corrupt(
     x = np.asarray(inputs)
     b, d = x.shape
     if p_mask == 0.0:
-        return x.copy(), np.zeros((b, d))
+        return x.copy(), np.zeros((b, d), dtype=bool)
     if b < 2:
         raise ValueError("corruption needs a batch of at least 2 rows")
-    mask = (rng.random((b, d)) < p_mask).astype(np.float64)
-    cols = np.broadcast_to(np.arange(d), (b, d))
+    mask = rng.random((b, d)) < p_mask
     offsets = rng.integers(1, b, size=(b, d))
-    donor_rows = (np.arange(b)[:, None] + offsets) % b
-    donors = x[donor_rows, cols]
-    x_tilde = np.where(mask > 0, donors, x)
-    return x_tilde, mask
+    donors = np.take_along_axis(x, (np.arange(b)[:, None] + offsets) % b, axis=0)
+    return np.where(mask, donors, x), mask
 
 
 def _batch_slices(n: int, batch_size: int):
@@ -116,26 +129,27 @@ def pretext_train(
     spec: CorruptionSpec,
     epochs: int = 10,
     batch_size: int = 256,
-    learning_rate: float = nn.ADAM_LEARNING_RATE,
 ) -> tuple[VimeModel, list[dict]]:
     """Denoising pretext training: reconstruction MSE + mask BCE.
 
-    Returns the trained model and per-epoch mean losses.
+    The encoder and decoder layers train as one graph. Each batch makes one
+    forward; the two losses are taken on the two column halves of the
+    output, and their gradients go back through one backward to one Adam
+    step. The trained layers replace ``model.encoder`` and ``model.decoder``
+    after the last epoch. Returns the model and per-epoch mean losses.
     """
     if min(x_unlab.shape[0], batch_size) < 2:
         raise ValueError(f"pretext_train: {x_unlab.shape[0]} rows in batches of "
                          f"{batch_size} leave no batch of at least 2 rows")
-    if model.encoder is None:
-        raise ValueError("pretext_train: model has no encoder")
+    if model.decoder is None:
+        raise ValueError("pretext_train: model has no decoder")
     rng_shuffle = seeded_rng(spec.seed, "pretext-shuffle")
     rng_corrupt = seeded_rng(spec.seed, "pretext-corrupt")
-    opts = {
-        "encoder": make_optimizer(model.encoder, learning_rate),
-        "feature": make_optimizer(model.feature_decoder, learning_rate),
-        "mask": make_optimizer(model.mask_decoder, learning_rate),
-    }
+    n_enc = len(model.encoder.layers)
+    graph = ModelGraph(model.encoder.layers + model.decoder.layers)
+    opt = make_optimizer(graph, nn.ADAM_LEARNING_RATE)
     curve = []
-    n = x_unlab.shape[0]
+    n, d = x_unlab.shape
     for epoch in range(epochs):
         order = rng_shuffle.permutation(n)
         sums = np.zeros(2)
@@ -145,24 +159,19 @@ def pretext_train(
             if x.shape[0] < 2:
                 continue
             x_tilde, mask = corrupt(x, spec.p_mask, rng_corrupt)
-            enc_fwd = model.encoder.forward(x_tilde)
-            h = enc_fwd.output
-            fd_fwd = model.feature_decoder.forward(h)
-            recon, g_rec = nn.loss_reconstruction(fd_fwd.output, x)
-            md_fwd = model.mask_decoder.forward(h)
-            bce, g_bce = nn.loss_mask_bce(md_fwd.output, mask)
+            fwd = graph.forward(x_tilde)
+            recon, g_rec = nn.loss_reconstruction(fwd.output[:, :d], x)
+            bce, g_bce = nn.loss_mask_bce(fwd.output[:, d:], mask)
             total = recon + bce
             if not np.isfinite(total):
                 raise TrainingDiverged("pretext", epoch, f"recon={recon} mask_bce={bce}")
-            g_fd, gh_rec = model.feature_decoder.backward(fd_fwd, g_rec)
-            g_md, gh_bce = model.mask_decoder.backward(md_fwd, g_bce)
-            g_enc, _ = model.encoder.backward(enc_fwd, gh_rec + gh_bce, input_grad=False)
-            step(opts["feature"], model.feature_decoder, g_fd)
-            step(opts["mask"], model.mask_decoder, g_md)
-            step(opts["encoder"], model.encoder, g_enc)
+            grads, _ = graph.backward(fwd, np.hstack([g_rec, g_bce]), input_grad=False)
+            step(opt, graph, grads)
             sums += (recon, bce)
             n_batches += 1
         curve.append({"reconstruction": sums[0] / n_batches, "mask_bce": sums[1] / n_batches})
+    model.encoder = ModelGraph(graph.layers[:n_enc])
+    model.decoder = ModelGraph(graph.layers[n_enc:])
     return model, curve
 
 

@@ -20,7 +20,7 @@ from progtab.vime import (
 def model_weights(model: VimeModel):
     parts = [model.predictor]
     if model.encoder is not None:
-        parts = [model.encoder, model.feature_decoder, model.mask_decoder, model.predictor]
+        parts = [model.encoder, model.decoder, model.predictor]
     return [l.weight.copy() for part in parts for l in part.layers]
 
 
@@ -29,13 +29,13 @@ class TestCorrupt:
         x = np.random.default_rng(0).normal(size=(8, 5))
         xt, mask = corrupt(x, 0.0, np.random.default_rng(1))
         assert np.array_equal(xt, x)
-        assert np.all(mask == 0)
+        assert mask.dtype == bool and not mask.any()
 
     def test_identical_rows_degenerate_marginal(self):
         x = np.ones((6, 4)) * 3.5
         xt, mask = corrupt(x, 1.0, np.random.default_rng(2))
         assert np.array_equal(xt, x)
-        assert np.all(mask == 1)
+        assert mask.dtype == bool and mask.all()
 
     def test_unmasked_entries_preserved(self):
         rng = np.random.default_rng(3)
@@ -77,7 +77,7 @@ def rank1_dataset(n=512, d=6, seed=0):
 def eval_recon(model: VimeModel, x, spec: CorruptionSpec) -> float:
     xt, _ = corrupt(x, spec.p_mask, nn.seeded_rng(spec.seed, "eval"))
     h = model.encoder.forward(xt).output
-    recon = model.feature_decoder.forward(h).output
+    recon = model.decoder.forward(h).output[:, :x.shape[1]]
     loss, _ = nn.loss_reconstruction(recon, x)
     return loss
 
@@ -86,9 +86,28 @@ class TestBuild:
     @pytest.mark.parametrize("with_encoder", [True, False])
     def test_every_component_is_float32(self, with_encoder):
         model = build_vime_model(6, 2, latent_dim=8, seed=0, with_encoder=with_encoder)
-        parts = [model.encoder, model.feature_decoder, model.mask_decoder, model.predictor]
-        for part in parts[0 if with_encoder else 3:]:
+        parts = [model.encoder, model.decoder, model.predictor]
+        for part in parts[0 if with_encoder else 2:]:
             assert part.params.dtype == np.float32
+
+    def test_decoder_halves_are_the_two_head_draws(self):
+        # the reconstruction and mask halves start from the draws of two
+        # separate input_dim-wide heads, one seed stream each
+        model = build_vime_model(6, 2, latent_dim=8, seed=4)
+        heads = [ModelGraph.mlp(8, (), 6, "identity", seed=nn.derive_seed(4, tag),
+                                dtype=np.float32).layers[0]
+                 for tag in ("feature-decoder", "mask-decoder")]
+        (layer,) = model.decoder.layers
+        assert layer.activation == "identity"
+        assert np.array_equal(layer.weight, np.hstack([h.weight for h in heads]))
+        assert np.array_equal(layer.bias, np.zeros(12, np.float32))
+
+    @pytest.mark.parametrize("width", [6, 13])
+    def test_decoder_of_other_width_rejected(self, width):
+        model = build_vime_model(6, 2, latent_dim=8, seed=0)
+        decoder = ModelGraph.mlp(8, (), width, "identity", seed=1)
+        with pytest.raises(nn.NnError, match="twice the input width"):
+            VimeModel(model.encoder, decoder, model.predictor)
 
 
 class TestPretext:
@@ -97,8 +116,7 @@ class TestPretext:
         spec = CorruptionSpec(0.3, seed=2)
         model = build_vime_model(6, 2, latent_dim=8, seed=3)
         before = eval_recon(model, x, spec)
-        model, curve = pretext_train(model, x, spec, epochs=60, batch_size=64,
-                                     learning_rate=3e-3)
+        model, curve = pretext_train(model, x, spec, epochs=180, batch_size=64)
         after = eval_recon(model, x, spec)
         assert after < 0.1 * before
         assert curve[-1]["reconstruction"] < curve[0]["reconstruction"]
@@ -112,6 +130,75 @@ class TestPretext:
         pretext_train(b, x, spec, epochs=3)
         for wa, wb in zip(model_weights(a), model_weights(b)):
             assert np.array_equal(wa, wb)
+
+    def test_one_pass_gradient_equals_three_model_sum(self, monkeypatch):
+        # one batch of 12 rows through a float64 encoder and decoder; the
+        # former pass ran the two heads as separate models and summed their
+        # gradients into the encoder
+        d, latent = 5, 4
+        x_unlab = np.random.default_rng(0).normal(size=(12, d))
+        encoder = ModelGraph.mlp(d, (), latent, "relu", seed=1)
+        decoder = ModelGraph.mlp(latent, (), 2 * d, "identity", seed=2)
+        predictor = ModelGraph.mlp(latent, (), 2, "softmax", seed=3)
+        model = VimeModel(encoder.copy(), decoder.copy(), predictor)
+        corrupted, grads = [], []
+        real_corrupt = vime.corrupt
+
+        def recording_corrupt(*args):
+            out = real_corrupt(*args)
+            corrupted.append((args[0], *out))
+            return out
+
+        def recording_step(opt, graph, g):
+            grads.append(g.copy())
+            nn.step(opt, graph, g)
+
+        monkeypatch.setattr(vime, "corrupt", recording_corrupt)
+        monkeypatch.setattr(vime, "step", recording_step)
+        pretext_train(model, x_unlab, CorruptionSpec(0.4, seed=5), epochs=1, batch_size=12)
+
+        assert len(corrupted) == 1 and len(grads) == 1
+        ((x, x_tilde, mask),) = corrupted
+        (dec,) = decoder.layers
+        heads = [ModelGraph([DenseLayer(dec.weight[:, cols], dec.bias[cols], "identity")])
+                 for cols in (slice(0, d), slice(d, 2 * d))]
+        enc_fwd = encoder.forward(x_tilde)
+        head_fwds = [head.forward(enc_fwd.output) for head in heads]
+        g_rec = nn.loss_reconstruction(head_fwds[0].output, x)[1]
+        g_bce = nn.loss_mask_bce(head_fwds[1].output, mask)[1]
+        (g_fd, gh_rec), (g_md, gh_bce) = (head.backward(f, g) for head, f, g
+                                          in zip(heads, head_fwds, (g_rec, g_bce)))
+        g_enc, _ = encoder.backward(enc_fwd, gh_rec + gh_bce, input_grad=False)
+        n_w = latent * d
+        want = np.concatenate([
+            g_enc,
+            np.hstack([g_fd[:n_w].reshape(latent, d), g_md[:n_w].reshape(latent, d)]).ravel(),
+            g_fd[n_w:], g_md[n_w:],
+        ])
+        assert np.allclose(grads[0], want, rtol=1e-10, atol=0.0)
+
+    def test_one_forward_backward_and_step_per_batch(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0, "step": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ModelGraph, "forward", counting("forward", ModelGraph.forward))
+        monkeypatch.setattr(ModelGraph, "backward", counting("backward", ModelGraph.backward))
+        monkeypatch.setattr(vime, "step", counting("step", vime.step))
+        model = build_vime_model(6, 2, latent_dim=8, seed=0)
+        before = [model.encoder.params.copy(), model.decoder.params.copy()]
+        # 40 rows in batches of 16: three batches per epoch
+        pretext_train(model, rank1_dataset()[:40], CorruptionSpec(0.3, seed=1),
+                      epochs=2, batch_size=16)
+        assert calls == {"forward": 6, "backward": 6, "step": 6}
+        # the trained layers are the model's encoder and decoder afterwards
+        for old, part in zip(before, (model.encoder, model.decoder)):
+            assert part.params.dtype == np.float32
+            assert not np.array_equal(old, part.params)
 
     @pytest.mark.parametrize("n_rows,batch_size", [(0, 256), (1, 256), (50, 1)])
     def test_no_batch_of_two_rows_rejected(self, n_rows, batch_size):
@@ -200,7 +287,7 @@ class TestSemisup:
 
         monkeypatch.setattr(vime, "corrupt", recording_corrupt)
         monkeypatch.setattr(vime, "step", recording_step)
-        semisup_train(VimeModel(None, None, None, predictor), x_lab, y_lab, x_unlab,
+        semisup_train(VimeModel(None, None, predictor), x_lab, y_lab, x_unlab,
                       CorruptionSpec(0.3, seed=4), beta=0.5, k_corruptions=3, epochs=1,
                       batch_size=16)
 
@@ -251,7 +338,7 @@ class TestSemisup:
 class TestPredict:
     def test_zero_logits_tie_break(self):
         predictor = ModelGraph([DenseLayer(np.zeros((4, 3)), np.zeros(3), "softmax")])
-        model = VimeModel(None, None, None, predictor)
+        model = VimeModel(None, None, predictor)
         labels, conf = predict(model, np.ones((2, 4)))
         assert np.all(labels == 0)  # ties break to the lowest class index
         assert np.allclose(conf, 1 / 3)
@@ -260,7 +347,7 @@ class TestPredict:
         w = np.zeros((2, 3))
         w[0, 2] = 50.0
         predictor = ModelGraph([DenseLayer(w, np.zeros(3), "softmax")])
-        model = VimeModel(None, None, None, predictor)
+        model = VimeModel(None, None, predictor)
         labels, conf = predict(model, np.array([[1.0, 0.0]]))
         assert labels[0] == 2
         assert conf[0] > 1 - 1e-12
