@@ -1,6 +1,8 @@
-"""Contrastive-mixup pipeline: encoder with projection/decoder/classifier
-heads, same-label mixup in latent space, supervised contrastive training, and
-graph-based label propagation for pseudo-labels.
+"""Contrastive-mixup pipeline: an encoder whose decoder, projection and
+classifier heads are column blocks of one dense layer, trained as one graph;
+same-label mixup of projected rows (the projection is affine, so projecting a
+mixed latent gives the same mix of the projections); supervised contrastive
+training; and graph-based label propagation for pseudo-labels.
 
 Propagation builds a symmetric kNN graph over latents (cosine similarity,
 deterministic for a given input), normalizes it symmetrically, and solves
@@ -8,9 +10,9 @@ deterministic for a given input), normalizes it symmetrically, and solves
 row's k neighbours are found without sorting the whole row: the k-th largest
 of its maxima over 256 column groups bounds its k-th largest similarity from
 below, and only the entries above that bound are sorted. Ties at the k-th
-similarity go to the lowest column index. A row's
-pseudo-label weight is one minus the normalized entropy of its diffused class
-distribution, so confident rows score near 1 and untouched rows score 0.
+similarity go to the lowest column index. A row's pseudo-label weight is one
+minus the normalized entropy of its diffused class distribution, so confident
+rows score near 1 and untouched rows score 0.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import nn
-from .nn import ModelGraph, TrainingDiverged, derive_seed, make_optimizer, seeded_rng, step
+from .nn import (DenseLayer, ModelGraph, TrainingDiverged, derive_seed, make_optimizer,
+                 seeded_rng, step)
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -40,19 +43,17 @@ W_CLF = 0.5  # classifier CE weight; reconstruction and supcon weigh 1
 
 @dataclass
 class CmixupModel:
-    """An encoder and its heads; a head that is None is disabled."""
+    """An encoder and one identity heads layer; ``blocks`` maps each enabled
+    head to its output columns, in the order decoder (input width),
+    projection (PROJECTION_DIM), classifier (one logit per class)."""
 
     encoder: ModelGraph
-    projection: ModelGraph | None
-    decoder: ModelGraph | None
-    classifier: ModelGraph | None
+    heads: ModelGraph
+    blocks: dict[str, slice]
 
     def __post_init__(self):
-        if self.projection is None and self.decoder is None and self.classifier is None:
+        if not self.blocks:
             raise ValueError("at least one of decoder/projection/classifier must be enabled")
-
-    def latent(self, x: np.ndarray) -> np.ndarray:
-        return self.encoder.forward(x).output
 
 
 @dataclass(frozen=True)
@@ -69,23 +70,27 @@ def build_cmixup_model(
     flags: tuple[str, ...] = ("decoder", "projection", "classifier"),
     seed: int = 0,
 ) -> CmixupModel:
-    """A fresh float32 model: a one-layer relu encoder and one head per flag."""
-    unknown = set(flags) - {"projection", "decoder", "classifier"}
+    """A fresh float32 model: a one-layer relu encoder and one column block
+    of the heads layer per flag. Each block is drawn as a Glorot layer of its
+    own width from its own "cm-<head>" stream; the biases are zero."""
+    widths = {"decoder": input_dim, "projection": PROJECTION_DIM, "classifier": num_classes}
+    unknown = set(flags) - set(widths)
     if unknown:
         raise ValueError(f"unknown component flags {sorted(unknown)}")
     encoder = ModelGraph.mlp(input_dim, (), latent_dim, "relu",
                              seed=derive_seed(seed, "cm-encoder"), dtype=np.float32)
-    projection = decoder = classifier = None
-    if "projection" in flags:
-        projection = ModelGraph.mlp(latent_dim, (), PROJECTION_DIM, "identity",
-                                    seed=derive_seed(seed, "cm-projection"), dtype=np.float32)
-    if "decoder" in flags:
-        decoder = ModelGraph.mlp(latent_dim, (), input_dim, "identity",
-                                 seed=derive_seed(seed, "cm-decoder"), dtype=np.float32)
-    if "classifier" in flags:
-        classifier = ModelGraph.mlp(latent_dim, (), num_classes, "softmax",
-                                    seed=derive_seed(seed, "cm-classifier"), dtype=np.float32)
-    return CmixupModel(encoder, projection, decoder, classifier)
+    blocks, width = {}, 0
+    for name in widths:
+        if name in flags:
+            blocks[name] = slice(width, width + widths[name])
+            width += widths[name]
+    heads = ModelGraph([DenseLayer(np.zeros((latent_dim, width), np.float32),
+                                   np.zeros(width, np.float32), "identity")])
+    for name, cols in blocks.items():
+        heads.layers[0].weight[:, cols] = ModelGraph.mlp(
+            latent_dim, (), widths[name], "identity", seed=derive_seed(seed, f"cm-{name}"),
+            dtype=np.float32).layers[0].weight
+    return CmixupModel(encoder, heads, blocks)
 
 
 def mix_latents(z_i: np.ndarray, z_j: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -316,6 +321,42 @@ def propagate_labels(
     return PropagationResult(pseudo, weight, is_labeled)
 
 
+def _batch_gradient(graph: ModelGraph, blocks: dict[str, slice], xb: np.ndarray,
+                    yb: np.ndarray, labeled: np.ndarray, rng_mix: np.random.Generator):
+    """One forward, each loss on its column block, one backward. yb is -1 where
+    a row's label is not known yet; the classifier reads only the labeled rows.
+    Returns (reconstruction, supcon, classifier CE) and the gradient of
+    reconstruction + supcon + W_CLF * CE, laid out like graph.params."""
+    fwd = graph.forward(xb)
+    out = fwd.output
+    g = np.zeros_like(out)
+    recon = supcon = clf = 0.0
+    if "decoder" in blocks:
+        cols = blocks["decoder"]
+        recon, g[:, cols] = nn.loss_reconstruction(out[:, cols], xb)
+    if "classifier" in blocks and labeled.any():
+        cols = blocks["classifier"]
+        probs = nn.softmax(out[labeled, cols])
+        clf, g_ce = nn.loss_crossentropy(probs, yb[labeled])
+        g[labeled, cols] = nn.softmax_backward(probs, W_CLF * g_ce)
+    use = np.flatnonzero(yb >= 0)
+    if "projection" in blocks and use.size >= 2:
+        cols = blocks["projection"]
+        u_use = out[use, cols]
+        mix = latent_mixup(u_use, yb[use], rng_mix)
+        u = np.concatenate([u_use, mix.mixed])
+        supcon, g_zn = nn.loss_supcon(nn.l2_normalize_rows(u),
+                                      np.concatenate([yb[use], mix.labels]), SUPCON_TEMPERATURE)
+        g_u = nn.l2_normalize_rows_backward(u, g_zn)
+        # a mixed row mixes two projected rows; anchors are distinct, partners may repeat
+        g_use, g_mix = g_u[:use.size], g_u[use.size:]
+        g_use[mix.anchor_idx] += mix.lam[:, None] * g_mix
+        np.add.at(g_use, mix.partner_idx, (1.0 - mix.lam)[:, None] * g_mix)
+        g[use, cols] = g_use
+    grads, _ = graph.backward(fwd, g, input_grad=False)
+    return (recon, supcon, clf), grads
+
+
 def encoder_train(
     model: CmixupModel,
     x_lab: np.ndarray,
@@ -334,6 +375,12 @@ def encoder_train(
     alpha, refreshes pseudo-labels once per epoch after warmup; before warmup
     only true-labeled rows feed the contrastive and classifier terms.
 
+    Encoder and heads train as one graph with one Adam state, one forward,
+    backward and step per batch; the trained layers replace model.encoder and
+    model.heads after the last epoch. A head with no rows in a batch (no
+    true-labeled row for the classifier, under two known labels for the
+    projection) gets a zero gradient, and Adam still moves its block.
+
     Propagation runs on the encoder output. Returns the trained model, the
     propagation result on the final latents, and per-epoch mean losses.
     """
@@ -347,88 +394,42 @@ def encoder_train(
     y_known = np.full(n, -1, dtype=np.int64)
     y_known[:n_lab] = y_lab
     k_eff = min(knn_k, max(1, n // 2))
+    n_enc = len(model.encoder.layers)
+    graph = ModelGraph(model.encoder.layers + model.heads.layers)
+    opt = make_optimizer(graph, nn.ADAM_LEARNING_RATE)
 
-    opts = {"encoder": make_optimizer(model.encoder, nn.ADAM_LEARNING_RATE)}
-    for name in ("projection", "decoder", "classifier"):
-        head = getattr(model, name)
-        if head is not None:
-            opts[name] = make_optimizer(head, nn.ADAM_LEARNING_RATE)
-
-    def run_propagation() -> PropagationResult:
-        return propagate_labels(model.latent(x_all), np.arange(n_lab), y_lab, num_classes,
-                                k=k_eff)
+    def run_propagation(encoder: ModelGraph) -> PropagationResult:
+        return propagate_labels(encoder.forward(x_all).output, np.arange(n_lab), y_lab,
+                                num_classes, k=k_eff)
 
     curve = []
     for epoch in range(epochs):
         if epoch >= warmup_epochs:
-            y_known = run_propagation().pseudo_label
+            y_known = run_propagation(ModelGraph(graph.layers[:n_enc])).pseudo_label
         order = rng_shuffle.permutation(n)
-        sums = np.zeros(3)
-        n_batches = 0
+        losses = []
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            xb = x_all[idx]
-            enc_fwd = model.encoder.forward(xb)
-            z = enc_fwd.output
-            g_z = np.zeros_like(z)
-            recon = supcon = clf = 0.0
-
-            if model.decoder is not None:
-                dec_fwd = model.decoder.forward(z)
-                recon, g_rec = nn.loss_reconstruction(dec_fwd.output, xb)
-                g_dec, gz = model.decoder.backward(dec_fwd, g_rec)
-                step(opts["decoder"], model.decoder, g_dec)
-                g_z += gz
-
-            if model.classifier is not None:
-                lab_rows = np.flatnonzero(idx < n_lab)
-                if lab_rows.size:
-                    clf_fwd = model.classifier.forward(z[lab_rows])
-                    clf, g_ce = nn.loss_crossentropy(clf_fwd.output, y_known[idx[lab_rows]])
-                    g_clf, gz_lab = model.classifier.backward(clf_fwd, W_CLF * g_ce)
-                    step(opts["classifier"], model.classifier, g_clf)
-                    g_z[lab_rows] += gz_lab
-
-            if model.projection is not None:
-                use = np.flatnonzero(y_known[idx] >= 0)
-                if use.size >= 2:
-                    zb = z[use]
-                    yb = y_known[idx[use]]
-                    mix = latent_mixup(zb, yb, rng_mix)
-                    proj_fwd = model.projection.forward(np.concatenate([zb, mix.mixed]))
-                    u = proj_fwd.output
-                    zn = nn.l2_normalize_rows(u)
-                    supcon, g_zn = nn.loss_supcon(zn, np.concatenate([yb, mix.labels]),
-                                                  SUPCON_TEMPERATURE)
-                    g_u = nn.l2_normalize_rows_backward(u, g_zn)
-                    g_proj, g_stack = model.projection.backward(proj_fwd, g_u)
-                    step(opts["projection"], model.projection, g_proj)
-                    # anchors are distinct; partners may repeat
-                    gz_use, g_mix = g_stack[:use.size], g_stack[use.size:]
-                    gz_use[mix.anchor_idx] += mix.lam[:, None] * g_mix
-                    np.add.at(gz_use, mix.partner_idx, (1.0 - mix.lam)[:, None] * g_mix)
-                    g_z[use] += gz_use
-
-            total = recon + supcon + W_CLF * clf
-            if not np.isfinite(total):
+            (recon, supcon, clf), grads = _batch_gradient(
+                graph, model.blocks, x_all[idx], y_known[idx], idx < n_lab, rng_mix)
+            if not np.isfinite(recon + supcon + W_CLF * clf):
                 raise TrainingDiverged("cmixup-encoder", epoch,
                                        f"recon={recon} supcon={supcon} clf={clf}")
-            g_enc, _ = model.encoder.backward(enc_fwd, g_z, input_grad=False)
-            step(opts["encoder"], model.encoder, g_enc)
-            sums += (recon, supcon, clf)
-            n_batches += 1
-        curve.append({"reconstruction": sums[0] / n_batches,
-                      "supcon": sums[1] / n_batches,
-                      "classifier_ce": sums[2] / n_batches})
+            step(opt, graph, grads)
+            losses.append((recon, supcon, clf))
+        curve.append(dict(zip(("reconstruction", "supcon", "classifier_ce"),
+                              np.mean(losses, axis=0))))
 
-    final_prop = run_propagation()
-    return model, final_prop, curve
+    model.encoder = ModelGraph(graph.layers[:n_enc])
+    model.heads = ModelGraph(graph.layers[n_enc:])
+    return model, run_propagation(model.encoder), curve
 
 
 def classify(model: CmixupModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classifier-head predictions: argmax label (ties to the lowest index)
     and max-softmax confidence."""
-    if model.classifier is None:
+    if "classifier" not in model.blocks:
         raise ValueError("classifier head is disabled on this model")
-    probs = model.classifier.forward(model.latent(x)).output
+    out = model.heads.forward(model.encoder.forward(x).output).output
+    probs = nn.softmax(out[:, model.blocks["classifier"]])
     return probs.argmax(axis=1).astype(np.int64), probs.max(axis=1)

@@ -172,26 +172,28 @@ class Forward:
         return self.acts[-1]
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_backward(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """dL/dz from dL/da and the softmax output a: dz = a * (g - <g, a>)."""
+    return a * (grad - (grad * a).sum(axis=1, keepdims=True))
+
+
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
-    if kind == "identity":
-        return z
-    # softmax, row-wise
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return z if kind == "identity" else softmax(z)
 
 
 def _activate_backward(kind: str, a: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """dL/dz from dL/da and the activation a; relu's a > 0 is exactly z > 0."""
     if kind == "relu":
         return grad * (a > 0)
-    if kind == "identity":
-        return grad
-    # softmax Jacobian: dz = a * (g - <g, a>)
-    dot = (grad * a).sum(axis=1, keepdims=True)
-    return a * (grad - dot)
+    return grad if kind == "identity" else softmax_backward(a, grad)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

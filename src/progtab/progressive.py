@@ -313,7 +313,7 @@ def _train_cmixup_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunCo
     prop_labels = prop.pseudo_label[n_lab:]
     prop_weights = prop.weight[n_lab:]
     clf_labels = clf_conf = None
-    if cm.classifier is not None:
+    if "classifier" in cm.blocks:
         clf_labels, clf_conf = cmixup.classify(cm, xu)
     pls = PseudoLabelSet(unlabeled_idx, prop_labels,
                          classifier_conf=clf_conf, classifier_labels=clf_labels,

@@ -152,8 +152,7 @@ def pretext_train(
     n, d = x_unlab.shape
     for epoch in range(epochs):
         order = rng_shuffle.permutation(n)
-        sums = np.zeros(2)
-        n_batches = 0
+        losses = []
         for sl in _batch_slices(n, batch_size):
             x = x_unlab[order[sl]]
             if x.shape[0] < 2:
@@ -167,9 +166,8 @@ def pretext_train(
                 raise TrainingDiverged("pretext", epoch, f"recon={recon} mask_bce={bce}")
             grads, _ = graph.backward(fwd, np.hstack([g_rec, g_bce]), input_grad=False)
             step(opt, graph, grads)
-            sums += (recon, bce)
-            n_batches += 1
-        curve.append({"reconstruction": sums[0] / n_batches, "mask_bce": sums[1] / n_batches})
+            losses.append((recon, bce))
+        curve.append(dict(zip(("reconstruction", "mask_bce"), np.mean(losses, axis=0))))
     model.encoder = ModelGraph(graph.layers[:n_enc])
     model.decoder = ModelGraph(graph.layers[n_enc:])
     return model, curve
@@ -213,8 +211,7 @@ def semisup_train(
     for epoch in range(epochs):
         order = rng_lab.permutation(n_lab)
         u_order = rng_unlab.permutation(n_unlab) if use_unlab else None
-        sums = np.zeros(2)
-        n_batches = 0
+        losses = []
         for bi, sl in enumerate(_batch_slices(n_lab, batch_size)):
             xb = x_lab[order[sl]]
             yb = y_lab[order[sl]]
@@ -239,9 +236,8 @@ def semisup_train(
             if not np.isfinite(total):
                 raise TrainingDiverged("semisup", epoch, f"ce={ce} consistency={cons}")
             step(opt_pred, model.predictor, g_pred)
-            sums += (ce, cons)
-            n_batches += 1
-        curve.append({"ce": sums[0] / n_batches, "consistency": sums[1] / n_batches})
+            losses.append((ce, cons))
+        curve.append(dict(zip(("ce", "consistency"), np.mean(losses, axis=0))))
     return model, curve
 
 

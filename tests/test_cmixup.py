@@ -4,10 +4,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from progtab import nn
+from progtab import cmixup, nn
 from progtab.cli import ABLATION_COMPONENTS
 from progtab.cmixup import (
+    PROJECTION_DIM,
+    SUPCON_TEMPERATURE,
+    W_CLF,
+    CmixupModel,
     PropagationError,
+    _batch_gradient,
     _knn_affinity,
     build_cmixup_model,
     classify,
@@ -16,6 +21,7 @@ from progtab.cmixup import (
     mix_latents,
     propagate_labels,
 )
+from progtab.nn import DenseLayer, ModelGraph, derive_seed, seeded_rng
 
 
 class TestMixLatents:
@@ -282,7 +288,161 @@ def cluster_training_data(seed=0, n=400):
     return pts[lab], y[lab], pts[unlab], y[unlab]
 
 
+def float64_model(input_dim, num_classes, latent_dim, seed):
+    """A full model cast to float64, with random biases so that bias
+    gradients are checked too."""
+    model = build_cmixup_model(input_dim, num_classes, latent_dim=latent_dim, seed=seed)
+    rng = np.random.default_rng(seed)
+
+    def cast(graph):
+        return ModelGraph([DenseLayer(l.weight.astype(np.float64),
+                                      0.1 * rng.standard_normal(l.bias.shape), l.activation)
+                           for l in graph.layers])
+    return CmixupModel(cast(model.encoder), cast(model.heads), model.blocks)
+
+
+def four_model_gradient(model, xb, yb, labeled, mix):
+    """One batch's gradient as the former encoder plus three separate heads
+    computed it, laid out like the joint graph's params."""
+    (layer,) = model.heads.layers
+    heads = {head: ModelGraph([DenseLayer(layer.weight[:, cols], layer.bias[cols],
+                                          "softmax" if head == "classifier" else "identity")])
+             for head, cols in model.blocks.items()}
+    enc_fwd = model.encoder.forward(xb)
+    z = enc_fwd.output
+    g_z = np.zeros_like(z)
+    head_grads = {}
+
+    fwd = heads["decoder"].forward(z)
+    head_grads["decoder"], gz = heads["decoder"].backward(
+        fwd, nn.loss_reconstruction(fwd.output, xb)[1])
+    g_z += gz
+
+    lab = np.flatnonzero(labeled)
+    fwd = heads["classifier"].forward(z[lab])
+    head_grads["classifier"], gz = heads["classifier"].backward(
+        fwd, W_CLF * nn.loss_crossentropy(fwd.output, yb[lab])[1])
+    g_z[lab] += gz
+
+    use = np.flatnonzero(yb >= 0)
+    zb = z[use]
+    mixed = mix_latents(zb[mix.anchor_idx], zb[mix.partner_idx], mix.lam)
+    fwd = heads["projection"].forward(np.concatenate([zb, mixed]))
+    u = fwd.output
+    g_zn = nn.loss_supcon(nn.l2_normalize_rows(u), np.concatenate([yb[use], mix.labels]),
+                          SUPCON_TEMPERATURE)[1]
+    head_grads["projection"], g_stack = heads["projection"].backward(
+        fwd, nn.l2_normalize_rows_backward(u, g_zn))
+    gz_use, g_mix = g_stack[:use.size], g_stack[use.size:]
+    gz_use[mix.anchor_idx] += mix.lam[:, None] * g_mix
+    np.add.at(gz_use, mix.partner_idx, (1.0 - mix.lam)[:, None] * g_mix)
+    g_z[use] += gz_use
+
+    g_enc, _ = model.encoder.backward(enc_fwd, g_z, input_grad=False)
+    g_w, g_b = np.zeros_like(layer.weight), np.zeros_like(layer.bias)
+    for head, cols in model.blocks.items():
+        n_w = layer.weight.shape[0] * (cols.stop - cols.start)
+        g_w[:, cols] = head_grads[head][:n_w].reshape(layer.weight.shape[0], -1)
+        g_b[cols] = head_grads[head][n_w:]
+    return np.concatenate([g_enc, g_w.ravel(), g_b])
+
+
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 class TestEncoderTrain:
+    # warmup 1: the batch sees only the labeled rows' labels; warmup 0:
+    # propagation labels every row before the batch
+    @pytest.mark.parametrize("warmup", [1, 0], ids=["before-warmup", "after-warmup"])
+    def test_one_pass_gradient_equals_four_model_sum(self, monkeypatch, warmup):
+        xl, yl, xu, _ = cluster_training_data(seed=6, n=60)
+        x_all = np.concatenate([xl, xu])
+        model = float64_model(8, 2, latent_dim=6, seed=7)
+        initial = CmixupModel(model.encoder.copy(), model.heads.copy(), model.blocks)
+        mixes, props, grads = [], [], []
+
+        def recording(fn, out):
+            def wrapper(*args, **kwargs):
+                out.append(fn(*args, **kwargs))
+                return out[-1]
+            return wrapper
+
+        def recording_step(opt, graph, g):
+            grads.append(g.copy())
+            nn.step(opt, graph, g)
+
+        monkeypatch.setattr(cmixup, "latent_mixup", recording(cmixup.latent_mixup, mixes))
+        monkeypatch.setattr(cmixup, "propagate_labels",
+                            recording(cmixup.propagate_labels, props))
+        monkeypatch.setattr(cmixup, "step", recording_step)
+        encoder_train(model, xl, yl, xu, 2, warmup_epochs=warmup, epochs=1, knn_k=10,
+                      batch_size=60, seed=8)
+
+        assert len(grads) == len(mixes) == 1
+        order = seeded_rng(8, "cm-shuffle").permutation(60)
+        y_known = np.concatenate([yl, np.full(40, -1)]) if warmup else props[0].pseudo_label
+        labeled = order < 20
+        assert (y_known[order] >= 0).sum() == (20 if warmup else 60)
+        want = four_model_gradient(initial, x_all[order], y_known[order], labeled, mixes[0])
+        assert np.allclose(grads[0], want, rtol=1e-10, atol=0.0)
+        # the model holds the initial weights moved by one Adam step on it
+        stepped = ModelGraph(initial.encoder.layers + initial.heads.layers)
+        nn.step(nn.make_optimizer(stepped, nn.ADAM_LEARNING_RATE), stepped, want)
+        assert np.allclose(np.concatenate([model.encoder.params, model.heads.params]),
+                           stepped.params, rtol=1e-10, atol=1e-12)
+
+    def test_one_forward_backward_and_step_per_batch(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0, "step": 0}
+        stepped = []
+
+        def recording_step(opt, graph, g):
+            stepped.append(graph)
+            nn.step(opt, graph, g)
+
+        monkeypatch.setattr(ModelGraph, "forward", counting(calls, "forward", ModelGraph.forward))
+        monkeypatch.setattr(ModelGraph, "backward",
+                            counting(calls, "backward", ModelGraph.backward))
+        monkeypatch.setattr(cmixup, "step", counting(calls, "step", recording_step))
+        xl, yl, xu, _ = cluster_training_data(seed=3, n=100)
+        model = build_cmixup_model(8, 2, latent_dim=6, seed=2)
+        before = [model.encoder.params.copy(), model.heads.params.copy()]
+        # 100 rows in batches of 32: four batches per epoch, two epochs of
+        # warmup, then one propagation forward on the final encoder
+        encoder_train(model, xl, yl, xu, 2, warmup_epochs=2, epochs=2, knn_k=10,
+                      batch_size=32, seed=1)
+        assert calls == {"forward": 9, "backward": 8, "step": 8}
+        assert len({id(graph) for graph in stepped}) == 1
+        trained = stepped[0].params
+        assert np.array_equal(np.concatenate([model.encoder.params, model.heads.params]),
+                              trained)
+        for old, part in zip(before, (model.encoder, model.heads)):
+            assert part.params.dtype == np.float32
+            assert not np.array_equal(old, part.params)
+
+    def test_joint_loss_gradcheck(self):
+        # 16 rows: 6 true-labeled, 6 with pseudo-labels, 4 unknown, three
+        # classes, so that the classifier, supcon and mixup all take part
+        rng = np.random.default_rng(11)
+        xb = rng.normal(size=(16, 5))
+        yb = np.array([0, 1, 2, 0, 1, 2, 0, 0, 1, 1, 2, 2, -1, -1, -1, -1])
+        labeled = np.arange(16) < 6
+        model = float64_model(5, 3, latent_dim=4, seed=12)
+        graph = ModelGraph(model.encoder.layers + model.heads.layers)
+
+        def loss_fn(m):
+            (recon, supcon, clf), grads = _batch_gradient(
+                m, model.blocks, xb, yb, labeled, np.random.default_rng(13))
+            assert recon > 0 and supcon > 0 and clf > 0
+            return recon + supcon + W_CLF * clf, grads
+
+        report = nn.gradcheck(graph, loss_fn)
+        assert report.n_params == graph.params.size
+        assert report.max_rel_err < 1e-6
+
     def test_original_architecture_flags(self):
         # decoder+projection is the unmodified contrastive-mixup architecture
         xl, yl, xu, _ = cluster_training_data()
@@ -325,9 +485,11 @@ class TestEncoderTrain:
 
 class TestClassify:
     def test_zero_logits_uniform_confidence(self):
+        # the decoder and projection blocks keep their weights
         model = build_cmixup_model(4, 5, latent_dim=8, seed=0)
-        model.classifier.layers[0].weight[:] = 0.0
-        model.classifier.layers[0].bias[:] = 0.0
+        (heads,) = model.heads.layers
+        heads.weight[:, model.blocks["classifier"]] = 0.0
+        heads.bias[model.blocks["classifier"]] = 0.0
         labels, conf = classify(model, np.random.default_rng(0).normal(size=(6, 4)))
         assert np.all(labels == 0)
         assert np.allclose(conf, 0.2)
@@ -365,7 +527,35 @@ class TestModelFlags:
     @pytest.mark.parametrize("flags", ABLATION_COMPONENTS)
     def test_heads_follow_flags(self, flags):
         model = build_cmixup_model(4, 2, flags=flags)
-        for head in ("decoder", "projection", "classifier"):
-            assert (getattr(model, head) is not None) == (head in flags)
-        for part in (model.encoder, *(getattr(model, head) for head in flags)):
+        widths = {"decoder": 4, "projection": PROJECTION_DIM, "classifier": 2}
+        names = [head for head in widths if head in flags]
+        assert list(model.blocks) == names
+        at = 0
+        for head in names:
+            assert model.blocks[head] == slice(at, at + widths[head])
+            at += widths[head]
+        assert model.heads.output_dim == at
+        assert model.heads.layers[0].activation == "identity"
+        for part in (model.encoder, model.heads):
             assert part.params.dtype == np.float32
+
+    def test_repeated_flags_make_one_block(self):
+        model = build_cmixup_model(4, 2, flags=("classifier", "decoder", "classifier"))
+        assert model.blocks == {"decoder": slice(0, 4), "classifier": slice(4, 6)}
+        assert model.heads.output_dim == 6
+
+    @pytest.mark.parametrize("flags", ABLATION_COMPONENTS)
+    def test_blocks_are_the_separate_head_draws(self, flags):
+        # each block equals the head drawn as a model of its own, with the
+        # activation it had then
+        widths = {"decoder": (6, "identity"), "projection": (PROJECTION_DIM, "identity"),
+                  "classifier": (3, "softmax")}
+        for seed in range(5):
+            model = build_cmixup_model(6, 3, latent_dim=8, flags=flags, seed=seed)
+            (heads,) = model.heads.layers
+            for head, cols in model.blocks.items():
+                width, act = widths[head]
+                (want,) = ModelGraph.mlp(8, (), width, act, seed=derive_seed(seed, f"cm-{head}"),
+                                         dtype=np.float32).layers
+                assert np.array_equal(heads.weight[:, cols], want.weight)
+                assert np.array_equal(heads.bias[cols], want.bias)
