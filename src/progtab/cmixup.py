@@ -1,8 +1,9 @@
 """Contrastive-mixup pipeline: an encoder whose decoder, projection and
-classifier heads are column blocks of one dense layer, trained as one graph;
-same-label mixup of projected rows (the projection is affine, so projecting a
-mixed latent gives the same mix of the projections); supervised contrastive
-training; and graph-based label propagation for pseudo-labels.
+classifier heads are column blocks of one dense layer, trained as one graph
+by a batch body for ``nn.train``; same-label mixup of projected rows (the
+projection is affine, so projecting a mixed latent gives the same mix of the
+projections); supervised contrastive training; and graph-based label
+propagation for pseudo-labels.
 
 Propagation builds a symmetric kNN graph over latents (cosine similarity,
 deterministic for a given input), normalizes it symmetrically, and solves
@@ -18,13 +19,14 @@ rows score near 1 and untouched rows score 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import nn
-from .nn import (DenseLayer, ModelGraph, TrainingDiverged, derive_seed, make_optimizer,
-                 seeded_rng, step)
+from .nn import DenseLayer, ModelGraph, derive_seed, seeded_rng
+from .nn import step  # noqa: F401  perfbench's tracer wraps the name here too
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -321,14 +323,12 @@ def propagate_labels(
     return PropagationResult(pseudo, weight, is_labeled)
 
 
-def _batch_gradient(graph: ModelGraph, blocks: dict[str, slice], xb: np.ndarray,
-                    yb: np.ndarray, labeled: np.ndarray, rng_mix: np.random.Generator):
-    """One forward, each loss on its column block, one backward. yb is -1 where
-    a row's label is not known yet; the classifier reads only the labeled rows.
-    Returns (reconstruction, supcon, classifier CE) and the gradient of
-    reconstruction + supcon + W_CLF * CE, laid out like graph.params."""
-    fwd = graph.forward(xb)
-    out = fwd.output
+def _batch_losses(blocks: dict[str, slice], xb: np.ndarray, yb: np.ndarray,
+                  labeled: np.ndarray, rng_mix: np.random.Generator, out: np.ndarray):
+    """The losses of one batch xb, each on its column block of the graph
+    output ``out``. yb is -1 where a row's label is not known yet; the
+    classifier reads only the labeled rows. Returns (reconstruction, supcon,
+    classifier CE) and dL/d(out) of reconstruction + supcon + W_CLF * CE."""
     g = np.zeros_like(out)
     recon = supcon = clf = 0.0
     if "decoder" in blocks:
@@ -353,8 +353,7 @@ def _batch_gradient(graph: ModelGraph, blocks: dict[str, slice], xb: np.ndarray,
         g_use[mix.anchor_idx] += mix.lam[:, None] * g_mix
         np.add.at(g_use, mix.partner_idx, (1.0 - mix.lam)[:, None] * g_mix)
         g[use, cols] = g_use
-    grads, _ = graph.backward(fwd, g, input_grad=False)
-    return (recon, supcon, clf), grads
+    return (recon, supcon, clf), g
 
 
 def encoder_train(
@@ -375,9 +374,9 @@ def encoder_train(
     alpha, refreshes pseudo-labels once per epoch after warmup; before warmup
     only true-labeled rows feed the contrastive and classifier terms.
 
-    Encoder and heads train as one graph with one Adam state, one forward,
-    backward and step per batch; the trained layers replace model.encoder and
-    model.heads after the last epoch. A head with no rows in a batch (no
+    A batch body for nn.train: encoder and heads train as one graph, each
+    loss on its block of the output; the trained layers replace model.encoder
+    and model.heads after the last epoch. A head with no rows in a batch (no
     true-labeled row for the classifier, under two known labels for the
     projection) gets a zero gradient, and Adam still moves its block.
 
@@ -396,30 +395,22 @@ def encoder_train(
     k_eff = min(knn_k, max(1, n // 2))
     n_enc = len(model.encoder.layers)
     graph = ModelGraph(model.encoder.layers + model.heads.layers)
-    opt = make_optimizer(graph, nn.ADAM_LEARNING_RATE)
 
     def run_propagation(encoder: ModelGraph) -> PropagationResult:
         return propagate_labels(encoder.forward(x_all).output, np.arange(n_lab), y_lab,
                                 num_classes, k=k_eff)
 
-    curve = []
-    for epoch in range(epochs):
-        if epoch >= warmup_epochs:
-            y_known = run_propagation(ModelGraph(graph.layers[:n_enc])).pseudo_label
+    def batches(epoch):
+        y = (y_known if epoch < warmup_epochs
+             else run_propagation(ModelGraph(graph.layers[:n_enc])).pseudo_label)
         order = rng_shuffle.permutation(n)
-        losses = []
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            (recon, supcon, clf), grads = _batch_gradient(
-                graph, model.blocks, x_all[idx], y_known[idx], idx < n_lab, rng_mix)
-            if not np.isfinite(recon + supcon + W_CLF * clf):
-                raise TrainingDiverged("cmixup-encoder", epoch,
-                                       f"recon={recon} supcon={supcon} clf={clf}")
-            step(opt, graph, grads)
-            losses.append((recon, supcon, clf))
-        curve.append(dict(zip(("reconstruction", "supcon", "classifier_ce"),
-                              np.mean(losses, axis=0))))
+            xb = x_all[idx]
+            yield xb, partial(_batch_losses, model.blocks, xb, y[idx], idx < n_lab, rng_mix)
 
+    curve = nn.train(graph, epochs, batches, ("reconstruction", "supcon", "classifier_ce"),
+                     "cmixup-encoder")
     model.encoder = ModelGraph(graph.layers[:n_enc])
     model.heads = ModelGraph(graph.layers[n_enc:])
     return model, run_propagation(model.encoder), curve

@@ -1,12 +1,13 @@
 """Minimal deterministic neural-network core.
 
 Dense layers with {relu, identity, softmax} activations, exact reverse-mode
-gradients, Adam, and a central-finite-difference gradient checker. A model's
-parameters are one flat vector with the layers as views into it;
-gradients and Adam moments are vectors in the same layout, so an optimizer
-step is a few vector operations. Every loss returns (value, gradient w.r.t.
-its input) so training loops can compose heads and chain gradients through
-shared encoders.
+gradients, Adam, one training loop and a central-finite-difference gradient
+checker. A model's parameters are one flat vector with the layers as views
+into it; gradients and Adam moments are vectors in the same layout, so an
+optimizer step is a few vector operations. Every loss returns (value,
+gradient w.r.t. its input). A trainer is a batch body for ``train``: it
+yields batches and takes their losses on the output, and the loop runs the
+forward, the divergence check, the backward and the Adam step.
 
 Precision: a model computes in the dtype of its parameters. ``forward`` and
 ``backward`` cast each batch they are given to it, so activations, gradients
@@ -317,7 +318,7 @@ def loss_supcon(
 
 
 # --------------------------------------------------------------------------
-# Optimizer
+# Optimizer and training loop
 # --------------------------------------------------------------------------
 
 ADAM_LEARNING_RATE = 1e-3
@@ -356,6 +357,35 @@ def step(optimizer: OptimizerState, model: ModelGraph, grads: np.ndarray) -> Non
     # temporaries are alive at once
     denom = np.sqrt(v / correct2) + ADAM_EPS
     model.params -= optimizer.learning_rate * (m / correct1) / denom
+
+
+def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],
+          phase: str) -> list[dict]:
+    """Train ``graph`` in place with Adam; return each epoch's mean losses.
+
+    ``batches(epoch)`` yields (input, losses) pairs, and ``losses(output)``
+    returns (the batch's loss values, named by ``loss_names``; dL/d(output) of
+    their weighted sum). It is called before the next pair is drawn. A loss
+    that is not finite raises TrainingDiverged for ``phase`` before backward;
+    an epoch that yields no batch raises ValueError.
+    """
+    opt = make_optimizer(graph, ADAM_LEARNING_RATE)
+    curve = []
+    for epoch in range(epochs):
+        values = []
+        for inputs, losses in batches(epoch):
+            fwd = graph.forward(inputs)
+            batch_values, grad = losses(fwd.output)
+            if not np.isfinite(batch_values).all():
+                raise TrainingDiverged(phase, epoch, " ".join(
+                    f"{name}={v}" for name, v in zip(loss_names, batch_values)))
+            grads, _ = graph.backward(fwd, grad, input_grad=False)
+            step(opt, graph, grads)
+            values.append(batch_values)
+        if not values:
+            raise ValueError(f"{phase}: epoch {epoch} has no batch to train on")
+        curve.append(dict(zip(loss_names, np.mean(values, axis=0))))
+    return curve
 
 
 # --------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Step 1 pretrains an encoder with a denoising pretext task (reconstruct the
 uncorrupted features, predict the corruption mask). Both pretext heads read
 the same latent, so they are one dense identity decoder layer of twice the
 input width: its first half reconstructs the features, its second half gives
-the mask logits. Encoder and decoder train as one graph, with one forward,
-one backward and one Adam step per batch. Step 2 trains a softmax predictor
-on the frozen latent with cross-entropy on labeled rows plus a consistency
-penalty across corrupted copies of unlabeled rows. Corruption operates on the
+the mask logits. Step 2 trains a softmax predictor on the frozen latent with
+cross-entropy on labeled rows plus a consistency penalty across corrupted
+copies of unlabeled rows. Both steps are batch bodies for ``nn.train``: each
+draws its batches and takes its losses on the output, and the loop makes one
+forward, one backward and one Adam step per batch. Corruption operates on the
 encoded matrix, resampling masked entries from the empirical column marginal
 of the batch.
 """
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .nn import (DenseLayer, ModelGraph, TrainingDiverged, derive_seed, make_optimizer,
-                 seeded_rng, step)
+from .nn import DenseLayer, ModelGraph, derive_seed, seeded_rng
+from .nn import step  # noqa: F401  perfbench's tracer wraps the name here too
 
 
 @dataclass(frozen=True)
@@ -118,11 +119,6 @@ def corrupt(
     return np.where(mask, donors, x), mask
 
 
-def _batch_slices(n: int, batch_size: int):
-    for start in range(0, n, batch_size):
-        yield slice(start, min(start + batch_size, n))
-
-
 def pretext_train(
     model: VimeModel,
     x_unlab: np.ndarray,
@@ -130,14 +126,11 @@ def pretext_train(
     epochs: int = 10,
     batch_size: int = 256,
 ) -> tuple[VimeModel, list[dict]]:
-    """Denoising pretext training: reconstruction MSE + mask BCE.
-
-    The encoder and decoder layers train as one graph. Each batch makes one
-    forward; the two losses are taken on the two column halves of the
-    output, and their gradients go back through one backward to one Adam
-    step. The trained layers replace ``model.encoder`` and ``model.decoder``
-    after the last epoch. Returns the model and per-epoch mean losses.
-    """
+    """Denoising pretext training, a batch body for nn.train: reconstruction
+    MSE + mask BCE on the two column halves of the output of the encoder and
+    decoder, trained as one graph. The trained layers replace ``model.encoder``
+    and ``model.decoder`` after the last epoch. Returns the model and
+    per-epoch mean losses."""
     if min(x_unlab.shape[0], batch_size) < 2:
         raise ValueError(f"pretext_train: {x_unlab.shape[0]} rows in batches of "
                          f"{batch_size} leave no batch of at least 2 rows")
@@ -145,29 +138,26 @@ def pretext_train(
         raise ValueError("pretext_train: model has no decoder")
     rng_shuffle = seeded_rng(spec.seed, "pretext-shuffle")
     rng_corrupt = seeded_rng(spec.seed, "pretext-corrupt")
-    n_enc = len(model.encoder.layers)
-    graph = ModelGraph(model.encoder.layers + model.decoder.layers)
-    opt = make_optimizer(graph, nn.ADAM_LEARNING_RATE)
-    curve = []
     n, d = x_unlab.shape
-    for epoch in range(epochs):
+
+    def batches(epoch):
         order = rng_shuffle.permutation(n)
-        losses = []
-        for sl in _batch_slices(n, batch_size):
-            x = x_unlab[order[sl]]
+        for start in range(0, n, batch_size):
+            x = x_unlab[order[start:start + batch_size]]
             if x.shape[0] < 2:
                 continue
             x_tilde, mask = corrupt(x, spec.p_mask, rng_corrupt)
-            fwd = graph.forward(x_tilde)
-            recon, g_rec = nn.loss_reconstruction(fwd.output[:, :d], x)
-            bce, g_bce = nn.loss_mask_bce(fwd.output[:, d:], mask)
-            total = recon + bce
-            if not np.isfinite(total):
-                raise TrainingDiverged("pretext", epoch, f"recon={recon} mask_bce={bce}")
-            grads, _ = graph.backward(fwd, np.hstack([g_rec, g_bce]), input_grad=False)
-            step(opt, graph, grads)
-            losses.append((recon, bce))
-        curve.append(dict(zip(("reconstruction", "mask_bce"), np.mean(losses, axis=0))))
+
+            def losses(out):
+                recon, g_rec = nn.loss_reconstruction(out[:, :d], x)
+                bce, g_bce = nn.loss_mask_bce(out[:, d:], mask)
+                return (recon, bce), np.hstack([g_rec, g_bce])
+
+            yield x_tilde, losses
+
+    n_enc = len(model.encoder.layers)
+    graph = ModelGraph(model.encoder.layers + model.decoder.layers)
+    curve = nn.train(graph, epochs, batches, ("reconstruction", "mask_bce"), "pretext")
     model.encoder = ModelGraph(graph.layers[:n_enc])
     model.decoder = ModelGraph(graph.layers[n_enc:])
     return model, curve
@@ -184,61 +174,49 @@ def semisup_train(
     epochs: int = 20,
     batch_size: int = 256,
 ) -> tuple[VimeModel, list[dict]]:
-    """Predictor training: CE on corrupted labeled batches + beta * consistency
-    across k_corruptions corrupted copies of unlabeled batches.
+    """Predictor training, a batch body for nn.train: CE on corrupted labeled
+    batches + beta * consistency across k_corruptions corrupted copies of
+    unlabeled batches, stacked into one batch. The encoder stays frozen.
 
     Corruption is applied before the encoder in this step too (identity when
     p_mask=0), so scarce labeled rows are augmented the same way unlabeled
-    ones are. The encoder stays frozen. Each batch is one pass: the labeled
-    rows and the corrupted copies are stacked into one matrix, go through one
-    forward, and the CE gradient of the labeled rows and beta times the
-    consistency gradient of the copies go back through one backward. With
-    beta=0 or no unlabeled rows the unlabeled path is skipped entirely and the
-    labeled batch goes in alone, which makes this the supervised baseline; its
-    rng streams are independent of the unlabeled ones, so enabling the
-    consistency term never changes which rows or corruptions the labeled path
-    draws.
+    ones are. With beta=0 or no unlabeled rows the unlabeled path is skipped
+    entirely, which makes this the supervised baseline; its rng streams are
+    independent of the unlabeled ones, so enabling the consistency term never
+    changes which rows or corruptions the labeled path draws.
     """
+    n_lab, n_unlab = x_lab.shape[0], x_unlab.shape[0]
     rng_lab = seeded_rng(spec.seed, "semisup-lab")
     rng_lab_corrupt = seeded_rng(spec.seed, "semisup-lab-corrupt")
     rng_unlab = seeded_rng(spec.seed, "semisup-unlab")
     rng_corrupt = seeded_rng(spec.seed, "semisup-corrupt")
-    use_unlab = beta > 0.0 and k_corruptions >= 2 and x_unlab.shape[0] >= 2
-    opt_pred = make_optimizer(model.predictor, nn.ADAM_LEARNING_RATE)
-    n_lab = x_lab.shape[0]
-    n_unlab = x_unlab.shape[0]
-    curve = []
-    for epoch in range(epochs):
+    use_unlab = beta > 0.0 and k_corruptions >= 2 and n_unlab >= 2
+
+    def batches(epoch):
         order = rng_lab.permutation(n_lab)
         u_order = rng_unlab.permutation(n_unlab) if use_unlab else None
-        losses = []
-        for bi, sl in enumerate(_batch_slices(n_lab, batch_size)):
-            xb = x_lab[order[sl]]
-            yb = y_lab[order[sl]]
+        for start in range(0, n_lab, batch_size):
+            rows = order[start:start + batch_size]
+            xb, yb = x_lab[rows], y_lab[rows]
             if spec.p_mask > 0.0 and xb.shape[0] >= 2:
                 xb, _ = corrupt(xb, spec.p_mask, rng_lab_corrupt)
-            nb = xb.shape[0]  # the pass holds nb labeled rows, then the copies
+            nb = xb.shape[0]  # the batch holds nb labeled rows, then the copies
             if use_unlab:
-                pick = np.arange(bi * batch_size, bi * batch_size + batch_size) % n_unlab
-                xu = x_unlab[u_order[pick]]
+                xu = x_unlab[u_order[np.arange(start, start + batch_size) % n_unlab]]
                 xb = np.concatenate([xb] + [corrupt(xu, spec.p_mask, rng_corrupt)[0]
                                             for _ in range(k_corruptions)])
-            fwd = model.predictor.forward(model.latent(xb))
-            ce, g = nn.loss_crossentropy(fwd.output[:nb], yb)
-            cons = 0.0
-            if use_unlab:
-                cons, g_cons = nn.loss_consistency(
-                    fwd.output[nb:].reshape(k_corruptions, batch_size, -1))
-                g = np.concatenate([g, beta * g_cons.reshape(-1, g.shape[1])])
-            g_pred, _ = model.predictor.backward(fwd, g, input_grad=False)
 
-            total = ce + beta * cons
-            if not np.isfinite(total):
-                raise TrainingDiverged("semisup", epoch, f"ce={ce} consistency={cons}")
-            step(opt_pred, model.predictor, g_pred)
-            losses.append((ce, cons))
-        curve.append(dict(zip(("ce", "consistency"), np.mean(losses, axis=0))))
-    return model, curve
+            def losses(out):
+                ce, g = nn.loss_crossentropy(out[:nb], yb)
+                if not use_unlab:
+                    return (ce, 0.0), g
+                cons, g_cons = nn.loss_consistency(
+                    out[nb:].reshape(k_corruptions, batch_size, -1))
+                return (ce, cons), np.concatenate([g, beta * g_cons.reshape(-1, g.shape[1])])
+
+            yield model.latent(xb), losses
+
+    return model, nn.train(model.predictor, epochs, batches, ("ce", "consistency"), "semisup")
 
 
 def predict(model: VimeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from progtab import cmixup, vime
 from progtab.nn import (
+    ADAM_LEARNING_RATE,
     DenseLayer,
     gradcheck_cases,
     GradientError,
     ModelGraph,
     NnError,
+    TrainingDiverged,
     gradcheck,
     l2_normalize_rows,
     loss_consistency,
@@ -17,6 +20,7 @@ from progtab.nn import (
     make_optimizer,
     seeded_rng,
     step,
+    train,
 )
 
 
@@ -308,6 +312,73 @@ class TestOptimizer:
         a, b = run(), run()
         for wa, wb in zip(a, b):
             assert np.array_equal(wa, wb)
+
+
+class TestTrain:
+    def test_steps_and_curve_match_a_hand_written_loop(self):
+        x = seeded_rng(3, "data").normal(size=(12, 4))
+        y = np.arange(12) % 3
+        model = ModelGraph.mlp(4, (5,), 3, "softmax", seed=3)
+        want = model.copy()
+        opt = make_optimizer(want, ADAM_LEARNING_RATE)
+        want_curve = []
+        for _ in range(2):
+            values = []
+            for rows in (slice(0, 8), slice(8, 12)):
+                fwd = want.forward(x[rows])
+                ce, g = loss_crossentropy(fwd.output, y[rows])
+                step(opt, want, want.backward(fwd, g)[0])
+                values.append(ce)
+            want_curve.append({"ce": np.mean(values)})
+
+        def batches(epoch):
+            for rows in (slice(0, 8), slice(8, 12)):
+                def losses(out):
+                    ce, g = loss_crossentropy(out, y[rows])
+                    return (ce,), g
+                yield x[rows], losses
+
+        assert train(model, 2, batches, ("ce",), "toy") == want_curve
+        assert np.array_equal(model.params, want.params)
+
+    def test_non_finite_loss_raises_before_backward(self, monkeypatch):
+        backward_calls = []
+        monkeypatch.setattr(ModelGraph, "backward", lambda *args: backward_calls.append(args))
+        model = ModelGraph.mlp(2, (), 1, "identity", seed=0)
+
+        def batches(epoch):
+            yield np.ones((3, 2)), lambda out: ((1.0, np.nan), np.zeros_like(out))
+
+        with pytest.raises(TrainingDiverged,
+                           match=r"^toy: non-finite loss at epoch 0 \(a=1.0 b=nan\)$"):
+            train(model, 1, batches, ("a", "b"), "toy")
+        assert not backward_calls
+
+    @pytest.mark.parametrize("phase", ["pretext", "semisup", "cmixup-encoder"])
+    def test_every_trainer_names_its_phase_and_epoch(self, phase):
+        # 40 rows with one inf cell; every trainer must stop at the loss
+        # check, before a backward meets the non-finite values
+        rng = np.random.default_rng(0)
+        x, x_finite = rng.normal(size=(40, 6)), rng.normal(size=(40, 6))
+        x[17, 3] = np.inf
+        y = np.arange(40) % 2
+        # no labeled corruption, so that the inf cell is not masked away
+        spec = vime.CorruptionSpec(0.0, seed=1)
+        trainers = {
+            "pretext": lambda: vime.pretext_train(
+                vime.build_vime_model(6, 2, latent_dim=8, seed=0), x,
+                vime.CorruptionSpec(0.3, seed=1), epochs=2),
+            "semisup": lambda: vime.semisup_train(
+                vime.build_vime_model(6, 2, latent_dim=8, seed=0), x, y, x_finite, spec,
+                epochs=2),
+            "cmixup-encoder": lambda: cmixup.encoder_train(
+                cmixup.build_cmixup_model(6, 2, latent_dim=8, seed=0), x, y, x_finite, 2,
+                epochs=2, knn_k=10),
+        }
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
+            trainers[phase]()
+        assert (exc.value.phase, exc.value.epoch) == (phase, 0)
+        assert str(exc.value).startswith(f"{phase}: non-finite loss at epoch 0 (")
 
 
 class TestSeededRng:

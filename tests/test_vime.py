@@ -74,6 +74,13 @@ def rank1_dataset(n=512, d=6, seed=0):
     return coeff * direction + 0.01 * rng.normal(size=(n, d))
 
 
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def eval_recon(model: VimeModel, x, spec: CorruptionSpec) -> float:
     xt, _ = corrupt(x, spec.p_mask, nn.seeded_rng(spec.seed, "eval"))
     h = model.encoder.forward(xt).output
@@ -149,12 +156,14 @@ class TestPretext:
             corrupted.append((args[0], *out))
             return out
 
+        real_step = nn.step
+
         def recording_step(opt, graph, g):
             grads.append(g.copy())
-            nn.step(opt, graph, g)
+            real_step(opt, graph, g)
 
         monkeypatch.setattr(vime, "corrupt", recording_corrupt)
-        monkeypatch.setattr(vime, "step", recording_step)
+        monkeypatch.setattr(nn, "step", recording_step)
         pretext_train(model, x_unlab, CorruptionSpec(0.4, seed=5), epochs=1, batch_size=12)
 
         assert len(corrupted) == 1 and len(grads) == 1
@@ -179,16 +188,10 @@ class TestPretext:
 
     def test_one_forward_backward_and_step_per_batch(self, monkeypatch):
         calls = {"forward": 0, "backward": 0, "step": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(ModelGraph, "forward", counting("forward", ModelGraph.forward))
-        monkeypatch.setattr(ModelGraph, "backward", counting("backward", ModelGraph.backward))
-        monkeypatch.setattr(vime, "step", counting("step", vime.step))
+        monkeypatch.setattr(ModelGraph, "forward", counting(calls, "forward", ModelGraph.forward))
+        monkeypatch.setattr(ModelGraph, "backward",
+                            counting(calls, "backward", ModelGraph.backward))
+        monkeypatch.setattr(nn, "step", counting(calls, "step", nn.step))
         model = build_vime_model(6, 2, latent_dim=8, seed=0)
         before = [model.encoder.params.copy(), model.decoder.params.copy()]
         # 40 rows in batches of 16: three batches per epoch
@@ -249,6 +252,38 @@ class TestSemisup:
         )
         assert all(e["consistency"] == 0.0 for e in curve)
 
+    def test_no_labeled_rows_rejected(self):
+        model = build_vime_model(6, 2, latent_dim=8, seed=0)
+        with pytest.raises(ValueError, match="^semisup: epoch 0 has no batch to train on$"):
+            semisup_train(model, np.empty((0, 6)), np.empty(0, dtype=np.int64),
+                          rank1_dataset()[:40], CorruptionSpec(0.3, seed=1), epochs=1)
+
+    def test_one_backward_and_step_per_labeled_batch(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0, "step": 0}
+        stepped = []
+        real_step = nn.step
+
+        def recording_step(opt, graph, g):
+            stepped.append(graph)
+            real_step(opt, graph, g)
+
+        monkeypatch.setattr(ModelGraph, "forward", counting(calls, "forward", ModelGraph.forward))
+        monkeypatch.setattr(ModelGraph, "backward",
+                            counting(calls, "backward", ModelGraph.backward))
+        monkeypatch.setattr(nn, "step", counting(calls, "step", recording_step))
+        model = build_vime_model(6, 2, latent_dim=8, seed=0)
+        encoder, predictor = model.encoder.params.copy(), model.predictor.params.copy()
+        x = rank1_dataset()
+        # 40 labeled rows in batches of 16: three batches per epoch, each
+        # with three corrupted copies of 16 unlabeled rows
+        semisup_train(model, x[:40], np.arange(40) % 2, x[40:100], CorruptionSpec(0.3, seed=1),
+                      k_corruptions=3, epochs=2, batch_size=16)
+        # each batch is one encoder forward to the latent, then the predictor's
+        assert calls == {"forward": 12, "backward": 6, "step": 6}
+        assert all(graph is model.predictor for graph in stepped)
+        assert np.array_equal(model.encoder.params, encoder)
+        assert not np.array_equal(model.predictor.params, predictor)
+
     def test_pipeline_bitwise_reproducible(self):
         ds, split, x = desk_data(2)
         y = ds.labels
@@ -281,12 +316,14 @@ class TestSemisup:
             corrupted.append(out[0])
             return out
 
+        real_step = nn.step
+
         def recording_step(opt, model, g):
             grads.append(g.copy())
-            nn.step(opt, model, g)
+            real_step(opt, model, g)
 
         monkeypatch.setattr(vime, "corrupt", recording_corrupt)
-        monkeypatch.setattr(vime, "step", recording_step)
+        monkeypatch.setattr(nn, "step", recording_step)
         semisup_train(VimeModel(None, None, predictor), x_lab, y_lab, x_unlab,
                       CorruptionSpec(0.3, seed=4), beta=0.5, k_corruptions=3, epochs=1,
                       batch_size=16)
