@@ -1,9 +1,9 @@
-"""Contrastive-mixup pipeline: an encoder whose decoder, projection and
-classifier heads are column blocks of one dense layer, trained as one graph
-by a batch body for ``nn.train``; same-label mixup of projected rows (the
-projection is affine, so projecting a mixed latent gives the same mix of the
-projections); supervised contrastive training; and graph-based label
-propagation for pseudo-labels.
+"""Contrastive-mixup pipeline: an ``nn.HeadedEncoder`` whose decoder,
+projection and classifier heads are column blocks of its one heads layer,
+trained in place by a batch body for ``nn.train``; same-label mixup of
+projected rows (the projection is affine, so projecting a mixed latent gives
+the same mix of the projections); supervised contrastive training; and
+graph-based label propagation for pseudo-labels.
 
 Propagation builds a symmetric kNN graph over latents (cosine similarity,
 deterministic for a given input), normalizes it symmetrically, and solves
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import nn
-from .nn import DenseLayer, ModelGraph, derive_seed, seeded_rng
+from .nn import HeadedEncoder, derive_seed, seeded_rng
 from .nn import step  # noqa: F401  perfbench's tracer wraps the name here too
 
 if TYPE_CHECKING:
@@ -43,21 +43,6 @@ SUPCON_TEMPERATURE = 0.1
 W_CLF = 0.5  # classifier CE weight; reconstruction and supcon weigh 1
 
 
-@dataclass
-class CmixupModel:
-    """An encoder and one identity heads layer; ``blocks`` maps each enabled
-    head to its output columns, in the order decoder (input width),
-    projection (PROJECTION_DIM), classifier (one logit per class)."""
-
-    encoder: ModelGraph
-    heads: ModelGraph
-    blocks: dict[str, slice]
-
-    def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("at least one of decoder/projection/classifier must be enabled")
-
-
 @dataclass(frozen=True)
 class PropagationResult:
     pseudo_label: np.ndarray  # (N',) int64; labeled rows keep their own label
@@ -71,28 +56,18 @@ def build_cmixup_model(
     latent_dim: int = 32,
     flags: tuple[str, ...] = ("decoder", "projection", "classifier"),
     seed: int = 0,
-) -> CmixupModel:
-    """A fresh float32 model: a one-layer relu encoder and one column block
-    of the heads layer per flag. Each block is drawn as a Glorot layer of its
-    own width from its own "cm-<head>" stream; the biases are zero."""
+) -> HeadedEncoder:
+    """A fresh float32 headed encoder: a one-layer relu encoder from the
+    "cm-encoder" stream and one head per flag, in the order decoder (input
+    width), projection (PROJECTION_DIM), classifier (one logit per class),
+    each drawn from its own "cm-<head>" stream."""
     widths = {"decoder": input_dim, "projection": PROJECTION_DIM, "classifier": num_classes}
     unknown = set(flags) - set(widths)
     if unknown:
         raise ValueError(f"unknown component flags {sorted(unknown)}")
-    encoder = ModelGraph.mlp(input_dim, (), latent_dim, "relu",
-                             seed=derive_seed(seed, "cm-encoder"), dtype=np.float32)
-    blocks, width = {}, 0
-    for name in widths:
-        if name in flags:
-            blocks[name] = slice(width, width + widths[name])
-            width += widths[name]
-    heads = ModelGraph([DenseLayer(np.zeros((latent_dim, width), np.float32),
-                                   np.zeros(width, np.float32), "identity")])
-    for name, cols in blocks.items():
-        heads.layers[0].weight[:, cols] = ModelGraph.mlp(
-            latent_dim, (), widths[name], "identity", seed=derive_seed(seed, f"cm-{name}"),
-            dtype=np.float32).layers[0].weight
-    return CmixupModel(encoder, heads, blocks)
+    return HeadedEncoder.build(input_dim, latent_dim, derive_seed(seed, "cm-encoder"), {
+        name: (width, derive_seed(seed, f"cm-{name}"))
+        for name, width in widths.items() if name in flags})
 
 
 def mix_latents(z_i: np.ndarray, z_j: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -285,25 +260,22 @@ def propagate_labels(
     y = np.zeros((n, num_classes))
     y[labeled_idx, labels] = 1.0
 
-    if alpha_diff == 0.0:
-        z = y.copy()
-    else:
-        w = _knn_affinity(latents, k)
-        deg = np.asarray(w.sum(axis=1)).ravel()
-        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-        d_inv = sp.diags(inv_sqrt)
-        s = d_inv @ w @ d_inv
+    w = _knn_affinity(latents, k)
+    deg = np.asarray(w.sum(axis=1)).ravel()
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    d_inv = sp.diags(inv_sqrt)
+    s = d_inv @ w @ d_inv
 
-        def matvec(v):
-            return v - alpha_diff * (s @ v)
+    def matvec(v):
+        return v - alpha_diff * (s @ v)
 
-        z = np.empty_like(y)
-        for c in range(num_classes):
-            try:
-                z[:, c] = _conjugate_gradient(matvec, y[:, c], max_iter)
-            except PropagationError as exc:
-                raise PropagationError(
-                    f"propagation over {n} rows, class {c} of {num_classes}: {exc}") from None
+    z = np.empty_like(y)
+    for c in range(num_classes):
+        try:
+            z[:, c] = _conjugate_gradient(matvec, y[:, c], max_iter)
+        except PropagationError as exc:
+            raise PropagationError(
+                f"propagation over {n} rows, class {c} of {num_classes}: {exc}") from None
 
     z = np.maximum(z, 0.0)
     row_sum = z.sum(axis=1, keepdims=True)
@@ -357,7 +329,7 @@ def _batch_losses(blocks: dict[str, slice], xb: np.ndarray, yb: np.ndarray,
 
 
 def encoder_train(
-    model: CmixupModel,
+    model: HeadedEncoder,
     x_lab: np.ndarray,
     y_lab: np.ndarray,
     x_unlab: np.ndarray,
@@ -367,16 +339,15 @@ def encoder_train(
     knn_k: int = 50,
     batch_size: int = 256,
     seed: int = 0,
-) -> tuple[CmixupModel, PropagationResult, list[dict]]:
+) -> tuple[HeadedEncoder, PropagationResult, list[dict]]:
     """First training step: reconstruction + same-label mixup supervised
     contrastive (temperature SUPCON_TEMPERATURE) + W_CLF * classifier CE, each
     term only when its head exists. Label propagation, with propagate_labels'
     alpha, refreshes pseudo-labels once per epoch after warmup; before warmup
     only true-labeled rows feed the contrastive and classifier terms.
 
-    A batch body for nn.train: encoder and heads train as one graph, each
-    loss on its block of the output; the trained layers replace model.encoder
-    and model.heads after the last epoch. A head with no rows in a batch (no
+    A batch body for nn.train: the model's graph trains in place, each loss
+    on its head's block of the output. A head with no rows in a batch (no
     true-labeled row for the classifier, under two known labels for the
     projection) gets a zero gradient, and Adam still moves its block.
 
@@ -393,34 +364,28 @@ def encoder_train(
     y_known = np.full(n, -1, dtype=np.int64)
     y_known[:n_lab] = y_lab
     k_eff = min(knn_k, max(1, n // 2))
-    n_enc = len(model.encoder.layers)
-    graph = ModelGraph(model.encoder.layers + model.heads.layers)
 
-    def run_propagation(encoder: ModelGraph) -> PropagationResult:
-        return propagate_labels(encoder.forward(x_all).output, np.arange(n_lab), y_lab,
+    def run_propagation() -> PropagationResult:
+        return propagate_labels(model.encoder.forward(x_all).output, np.arange(n_lab), y_lab,
                                 num_classes, k=k_eff)
 
     def batches(epoch):
-        y = (y_known if epoch < warmup_epochs
-             else run_propagation(ModelGraph(graph.layers[:n_enc])).pseudo_label)
+        y = y_known if epoch < warmup_epochs else run_propagation().pseudo_label
         order = rng_shuffle.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
             xb = x_all[idx]
             yield xb, partial(_batch_losses, model.blocks, xb, y[idx], idx < n_lab, rng_mix)
 
-    curve = nn.train(graph, epochs, batches, ("reconstruction", "supcon", "classifier_ce"),
+    curve = nn.train(model.graph, epochs, batches, ("reconstruction", "supcon", "classifier_ce"),
                      "cmixup-encoder")
-    model.encoder = ModelGraph(graph.layers[:n_enc])
-    model.heads = ModelGraph(graph.layers[n_enc:])
-    return model, run_propagation(model.encoder), curve
+    return model, run_propagation(), curve
 
 
-def classify(model: CmixupModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def classify(model: HeadedEncoder, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classifier-head predictions: argmax label (ties to the lowest index)
     and max-softmax confidence."""
     if "classifier" not in model.blocks:
         raise ValueError("classifier head is disabled on this model")
-    out = model.heads.forward(model.encoder.forward(x).output).output
-    probs = nn.softmax(out[:, model.blocks["classifier"]])
+    probs = nn.softmax(model.graph.forward(x).output[:, model.blocks["classifier"]])
     return probs.argmax(axis=1).astype(np.int64), probs.max(axis=1)

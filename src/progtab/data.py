@@ -162,29 +162,18 @@ def _parse_date(text: str) -> float | None:
 
 
 def _infer_kind(values: list[str]) -> str:
-    """Column kind from non-missing raw cells: numerical, date, else categorical."""
-    seen = False
-    all_num = True
-    all_date = True
-    for v in values:
-        if v == "":
-            continue
-        seen = True
-        if all_num:
-            try:
-                float(v)
-            except ValueError:
-                all_num = False
-        if all_date and not all_num:
-            if _parse_date(v) is None:
-                all_date = False
-        if not all_num and not all_date:
-            return "categorical"
-    if not seen:
+    """Column kind from non-missing raw cells: numerical if every one parses
+    as a number, else date if every one parses as a date, else categorical."""
+    present = [v for v in values if v != ""]
+    if not present:
         return "categorical"
-    if all_num:
+    try:
+        for v in present:
+            float(v)
         return "numerical"
-    return "date"
+    except ValueError:
+        pass
+    return "date" if all(_parse_date(v) is not None for v in present) else "categorical"
 
 
 def load_csv(

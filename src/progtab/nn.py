@@ -1,13 +1,14 @@
 """Minimal deterministic neural-network core.
 
 Dense layers with {relu, identity, softmax} activations, exact reverse-mode
-gradients, Adam, one training loop and a central-finite-difference gradient
-checker. A model's parameters are one flat vector with the layers as views
-into it; gradients and Adam moments are vectors in the same layout, so an
-optimizer step is a few vector operations. Every loss returns (value,
-gradient w.r.t. its input). A trainer is a batch body for ``train``: it
-yields batches and takes their losses on the output, and the loop runs the
-forward, the divergence check, the backward and the Adam step.
+gradients, Adam, one training loop, the headed encoder both pipelines
+pretrain, and a central-finite-difference gradient checker. A model's
+parameters are one flat vector with the layers as views into it; gradients
+and Adam moments are vectors in the same layout, so an optimizer step is a
+few vector operations. Every loss returns (value, gradient w.r.t. its
+input). A trainer is a batch body for ``train``: it yields batches and takes
+their losses on the output, and the loop runs the forward, the divergence
+check, the backward and the Adam step.
 
 Precision: a model computes in the dtype of its parameters. ``forward`` and
 ``backward`` cast each batch they are given to it, so activations, gradients
@@ -162,6 +163,46 @@ class ModelGraph:
                 raise GradientError(i, "non-finite gradient")
             g = gz @ layer.weight.T if i or input_grad else None
         return grads, g
+
+
+@dataclass
+class HeadedEncoder:
+    """An encoder and its self-supervised heads as one graph: the last layer
+    of ``graph`` is one identity heads layer, and ``blocks`` maps each head to
+    its output columns. The heads train together with the encoder, each loss
+    on its block of the output."""
+
+    graph: ModelGraph
+    blocks: dict[str, slice]
+
+    @classmethod
+    def build(cls, input_dim: int, latent_dim: int, encoder_seed: int,
+              heads: dict[str, tuple[int, int]]) -> "HeadedEncoder":
+        """A float32 one-layer relu encoder drawn from ``encoder_seed``, and
+        one block per (width, seed) of ``heads``, in its order: a Glorot
+        layer of that width drawn from that seed. The biases are zero."""
+        if not heads:
+            raise NnError("a headed encoder needs at least one head")
+        encoder = ModelGraph.mlp(input_dim, (), latent_dim, "relu", seed=encoder_seed,
+                                 dtype=np.float32)
+        blocks, weights, width = {}, [], 0
+        for name, (w, seed) in heads.items():
+            blocks[name] = slice(width, width + w)
+            width += w
+            weights.append(ModelGraph.mlp(latent_dim, (), w, "identity", seed=seed,
+                                          dtype=np.float32).layers[0].weight)
+        head = DenseLayer(np.hstack(weights), np.zeros(width, np.float32), "identity")
+        return cls(ModelGraph(encoder.layers + [head]), blocks)
+
+    @property
+    def encoder(self) -> ModelGraph:
+        """Every layer but the heads, as a graph whose ``params`` is a view
+        of the front of the graph's: training the graph moves it too."""
+        encoder = ModelGraph.__new__(ModelGraph)
+        encoder.layers = self.graph.layers[:-1]
+        encoder.params = self.graph.params[:sum(l.weight.size + l.bias.size
+                                                for l in encoder.layers)]
+        return encoder
 
 
 @dataclass

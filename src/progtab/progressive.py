@@ -255,70 +255,53 @@ def _curve_to_json(curve: list[dict]) -> dict:
     return {k: [float(e[k]) for e in curve] for k in keys}
 
 
-def _train_vime_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConfig,
-                    seed: int):
+def _train_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConfig, seed: int):
+    """One run of the configured pipeline: step 1 (vime's pretext or the
+    cmixup encoder), then a predictor with consistency regularization on the
+    frozen encoder, shared by both. Returns the step-2 model, the
+    pseudo-labels and the loss curves."""
     curves = {}
-    model = build_vime_model(
-        xl.shape[1], num_classes, latent_dim=config.latent_dim,
-        predictor_hidden=config.predictor_hidden, seed=seed,
-        with_encoder=config.pretext_enabled,
-    )
-    spec = CorruptionSpec(config.p_mask, seed=seed)
-    if config.pretext_enabled:
-        _, pre_curve = vime.pretext_train(model, xu, spec, epochs=config.pretext_epochs,
-                                          batch_size=config.batch_size)
-        curves["pretext"] = _curve_to_json(pre_curve)
+    if config.pipeline == "vime":
+        model = build_vime_model(xl.shape[1], num_classes, latent_dim=config.latent_dim,
+                                 predictor_hidden=config.predictor_hidden, seed=seed,
+                                 with_encoder=config.pretext_enabled)
+        spec = CorruptionSpec(config.p_mask, seed=seed)
+        if config.pretext_enabled:
+            _, pre_curve = vime.pretext_train(model, xu, spec, epochs=config.pretext_epochs,
+                                              batch_size=config.batch_size)
+            curves["pretext"] = _curve_to_json(pre_curve)
+    else:
+        net = cmixup.build_cmixup_model(xl.shape[1], num_classes, latent_dim=config.latent_dim,
+                                        flags=config.component_flags, seed=seed)
+        _, prop, enc_curve = cmixup.encoder_train(
+            net, xl, yl, xu, num_classes, warmup_epochs=config.warmup_epochs,
+            epochs=config.encoder_epochs, knn_k=config.knn_k,
+            batch_size=config.batch_size, seed=seed,
+        )
+        curves["encoder"] = _curve_to_json(enc_curve)
+        model = VimeModel(net, ModelGraph.mlp(
+            config.latent_dim, config.predictor_hidden, num_classes, "softmax",
+            seed=derive_seed(seed, "cm-step2-predictor"), dtype=np.float32))
+        spec = CorruptionSpec(config.p_mask, seed=derive_seed(seed, "cm-step2"))
     _, semi_curve = vime.semisup_train(
         model, xl, yl, xu, spec, beta=config.beta_consistency,
         k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
         batch_size=config.batch_size,
     )
     curves["semisup"] = _curve_to_json(semi_curve)
-    pl_labels, pl_conf = vime.predict(model, xu)
-    pls = PseudoLabelSet(unlabeled_idx, pl_labels,
-                         classifier_conf=pl_conf, classifier_labels=pl_labels)
-    return model, pls, curves
 
-
-def _train_cmixup_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConfig,
-                      seed: int):
-    """Returns the step-2 model (the trained encoder plus a predictor), the
-    pseudo-labels and the loss curves."""
-    curves = {}
-    cm = cmixup.build_cmixup_model(xl.shape[1], num_classes, latent_dim=config.latent_dim,
-                                   flags=config.component_flags, seed=seed)
-    cm, prop, enc_curve = cmixup.encoder_train(
-        cm, xl, yl, xu, num_classes, warmup_epochs=config.warmup_epochs,
-        epochs=config.encoder_epochs, knn_k=config.knn_k,
-        batch_size=config.batch_size, seed=seed,
-    )
-    curves["encoder"] = _curve_to_json(enc_curve)
-
-    # second step: predictor with consistency regularization on the frozen
-    # encoder, shared with the vime pipeline
-    predictor = ModelGraph.mlp(config.latent_dim, config.predictor_hidden,
-                               num_classes, "softmax",
-                               seed=derive_seed(seed, "cm-step2-predictor"), dtype=np.float32)
-    vm = VimeModel(cm.encoder, None, predictor)
-    spec = CorruptionSpec(config.p_mask, seed=derive_seed(seed, "cm-step2"))
-    _, semi_curve = vime.semisup_train(
-        vm, xl, yl, xu, spec, beta=config.beta_consistency,
-        k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
-        batch_size=config.batch_size,
-    )
-    curves["semisup"] = _curve_to_json(semi_curve)
-
-    # pseudo-labels: propagation over [labeled; unlabeled] order, unlabeled tail
+    if config.pipeline == "vime":
+        labels, conf = vime.predict(model, xu)
+        return model, PseudoLabelSet(unlabeled_idx, labels, classifier_conf=conf,
+                                     classifier_labels=labels), curves
+    # propagation ran over [labeled; unlabeled] order: the unlabeled tail
     n_lab = xl.shape[0]
-    prop_labels = prop.pseudo_label[n_lab:]
-    prop_weights = prop.weight[n_lab:]
     clf_labels = clf_conf = None
-    if "classifier" in cm.blocks:
-        clf_labels, clf_conf = cmixup.classify(cm, xu)
-    pls = PseudoLabelSet(unlabeled_idx, prop_labels,
-                         classifier_conf=clf_conf, classifier_labels=clf_labels,
-                         propagation_weight=prop_weights)
-    return vm, pls, curves
+    if "classifier" in net.blocks:
+        clf_labels, clf_conf = cmixup.classify(net, xu)
+    return model, PseudoLabelSet(unlabeled_idx, prop.pseudo_label[n_lab:],
+                                 classifier_conf=clf_conf, classifier_labels=clf_labels,
+                                 propagation_weight=prop.weight[n_lab:]), curves
 
 
 def run_progressive(ds: TabularDataset, split: DataSplit, config: RunConfig) -> ExperimentReport:
@@ -342,13 +325,12 @@ def run_progressive(ds: TabularDataset, split: DataSplit, config: RunConfig) -> 
     rows = np.concatenate([split.labeled_idx, split.unlabeled_idx, split.test_idx])
     bounds = np.cumsum([split.labeled_idx.size, split.unlabeled_idx.size])
     n_runs = config.resolved_n_runs()
-    train_run = _train_vime_run if config.pipeline == "vime" else _train_cmixup_run
     runs: list[RunMetrics] = []
     for run_i in range(1, n_runs + 1):
         xl, xu, xt = np.split(encode(dss, rows, table).matrix, bounds)
-        model, pls, curves = train_run(xl, labeled_labels, xu, split.unlabeled_idx,
-                                       ds.num_classes, config,
-                                       derive_seed(config.seed, "run", run_i))
+        model, pls, curves = _train_run(xl, labeled_labels, xu, split.unlabeled_idx,
+                                        ds.num_classes, config,
+                                        derive_seed(config.seed, "run", run_i))
         test_acc = vime.accuracy(model, xt, y[split.test_idx])
 
         refined = refine_pseudo_labels(pls, config.refinement_mode,

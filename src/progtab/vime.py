@@ -1,10 +1,10 @@
 """Two-step self-/semi-supervised pipeline on encoded tabular features.
 
 Step 1 pretrains an encoder with a denoising pretext task (reconstruct the
-uncorrupted features, predict the corruption mask). Both pretext heads read
-the same latent, so they are one dense identity decoder layer of twice the
-input width: its first half reconstructs the features, its second half gives
-the mask logits. Step 2 trains a softmax predictor on the frozen latent with
+uncorrupted features, predict the corruption mask). Encoder and heads are an
+``nn.HeadedEncoder``: the ``reconstruction`` and ``mask`` heads are
+input-wide column blocks of its one identity heads layer, and the graph
+trains in place. Step 2 trains a softmax predictor on the frozen latent with
 cross-entropy on labeled rows plus a consistency penalty across corrupted
 copies of unlabeled rows. Both steps are batch bodies for ``nn.train``: each
 draws its batches and takes its losses on the output, and the loop makes one
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .nn import DenseLayer, ModelGraph, derive_seed, seeded_rng
+from .nn import HeadedEncoder, ModelGraph, derive_seed, seeded_rng
 from .nn import step  # noqa: F401  perfbench's tracer wraps the name here too
 
 
@@ -36,36 +36,25 @@ class CorruptionSpec:
 
 @dataclass
 class VimeModel:
-    """Encoder plus pretext decoder and predictor.
+    """A headed encoder and a predictor on its latent.
 
-    The decoder maps the latent to ``[reconstruction | mask logits]``, twice
-    the encoder's input width. encoder=None means the predictor consumes the
-    encoded features directly (the supervised baseline and the no-pretext
-    ablation); decoder=None means the model does no pretext training.
+    Step 1 trains ``net`` and step 2 the predictor on its frozen encoder.
+    net=None means the predictor consumes the encoded features directly (the
+    supervised baseline and the no-pretext ablation).
     """
 
-    encoder: ModelGraph | None
-    decoder: ModelGraph | None
+    net: HeadedEncoder | None
     predictor: ModelGraph
 
     def __post_init__(self):
-        if self.decoder is not None:
-            if self.encoder is None:
-                raise nn.NnError("a decoder needs an encoder")
-            if self.decoder.output_dim != 2 * self.encoder.input_dim:
-                raise nn.NnError(
-                    f"decoder width {self.decoder.output_dim} must be twice the input width "
-                    f"{self.encoder.input_dim}: [reconstruction | mask logits]")
-        if self.encoder is not None:
-            h = self.encoder.output_dim
-            for part in (self.decoder, self.predictor):
-                if part is not None and part.input_dim != h:
-                    raise nn.NnError("encoder output dim must match decoder/predictor input")
+        if self.net is not None and self.predictor.input_dim != self.net.encoder.output_dim:
+            raise nn.NnError(f"predictor input width {self.predictor.input_dim} must match "
+                             f"the encoder's output width {self.net.encoder.output_dim}")
 
     def latent(self, x: np.ndarray) -> np.ndarray:
-        if self.encoder is None:
+        if self.net is None:
             return x
-        return self.encoder.forward(x).output
+        return self.net.encoder.forward(x).output
 
 
 def build_vime_model(
@@ -76,27 +65,20 @@ def build_vime_model(
     seed: int = 0,
     with_encoder: bool = True,
 ) -> VimeModel:
-    """Fresh model; each component draws from its own seed stream so the
-    predictor initialization is identical with or without the encoder. The
-    encoder is one dense relu layer. The decoder's two halves are drawn as
-    two separate input_dim-wide Glorot layers, from the "feature-decoder" and
-    "mask-decoder" streams, and stacked side by side. Every component is
-    float32."""
+    """Fresh float32 model; each component draws from its own seed stream so
+    the predictor initialization is identical with or without the encoder.
+    The net's encoder is one dense relu layer, and its two input_dim-wide
+    heads, ``reconstruction`` and ``mask``, are drawn from the
+    "feature-decoder" and "mask-decoder" streams."""
+    net = None
     if with_encoder:
-        encoder = ModelGraph.mlp(input_dim, (), latent_dim, "relu",
-                                 seed=derive_seed(seed, "encoder"), dtype=np.float32)
-        halves = [ModelGraph.mlp(latent_dim, (), input_dim, "identity",
-                                 seed=derive_seed(seed, tag), dtype=np.float32).layers[0]
-                  for tag in ("feature-decoder", "mask-decoder")]
-        decoder = ModelGraph([DenseLayer(np.hstack([h.weight for h in halves]),
-                                         np.zeros(2 * input_dim, np.float32), "identity")])
-        pred_in = latent_dim
-    else:
-        encoder = decoder = None
-        pred_in = input_dim
-    predictor = ModelGraph.mlp(pred_in, predictor_hidden, num_classes, "softmax",
-                               seed=derive_seed(seed, "predictor"), dtype=np.float32)
-    return VimeModel(encoder, decoder, predictor)
+        net = HeadedEncoder.build(input_dim, latent_dim, derive_seed(seed, "encoder"), {
+            "reconstruction": (input_dim, derive_seed(seed, "feature-decoder")),
+            "mask": (input_dim, derive_seed(seed, "mask-decoder"))})
+    predictor = ModelGraph.mlp(latent_dim if with_encoder else input_dim, predictor_hidden,
+                               num_classes, "softmax", seed=derive_seed(seed, "predictor"),
+                               dtype=np.float32)
+    return VimeModel(net, predictor)
 
 
 def corrupt(
@@ -127,18 +109,20 @@ def pretext_train(
     batch_size: int = 256,
 ) -> tuple[VimeModel, list[dict]]:
     """Denoising pretext training, a batch body for nn.train: reconstruction
-    MSE + mask BCE on the two column halves of the output of the encoder and
-    decoder, trained as one graph. The trained layers replace ``model.encoder``
-    and ``model.decoder`` after the last epoch. Returns the model and
-    per-epoch mean losses."""
-    if min(x_unlab.shape[0], batch_size) < 2:
-        raise ValueError(f"pretext_train: {x_unlab.shape[0]} rows in batches of "
+    MSE + mask BCE, each on its head's block of ``model.net``'s output. The
+    net's graph trains in place. Returns the model and per-epoch mean
+    losses."""
+    n, d = x_unlab.shape
+    if min(n, batch_size) < 2:
+        raise ValueError(f"pretext_train: {n} rows in batches of "
                          f"{batch_size} leave no batch of at least 2 rows")
-    if model.decoder is None:
-        raise ValueError("pretext_train: model has no decoder")
+    blocks = model.net.blocks if model.net is not None else {}
+    rec, msk = blocks.get("reconstruction", slice(0, 0)), blocks.get("mask", slice(0, 0))
+    if rec.stop - rec.start != d or msk.stop - msk.start != d:
+        raise ValueError(f"pretext_train: the model needs reconstruction and mask heads "
+                         f"of the input width {d}")
     rng_shuffle = seeded_rng(spec.seed, "pretext-shuffle")
     rng_corrupt = seeded_rng(spec.seed, "pretext-corrupt")
-    n, d = x_unlab.shape
 
     def batches(epoch):
         order = rng_shuffle.permutation(n)
@@ -149,18 +133,15 @@ def pretext_train(
             x_tilde, mask = corrupt(x, spec.p_mask, rng_corrupt)
 
             def losses(out):
-                recon, g_rec = nn.loss_reconstruction(out[:, :d], x)
-                bce, g_bce = nn.loss_mask_bce(out[:, d:], mask)
-                return (recon, bce), np.hstack([g_rec, g_bce])
+                g = np.zeros_like(out)
+                recon, g[:, rec] = nn.loss_reconstruction(out[:, rec], x)
+                bce, g[:, msk] = nn.loss_mask_bce(out[:, msk], mask)
+                return (recon, bce), g
 
             yield x_tilde, losses
 
-    n_enc = len(model.encoder.layers)
-    graph = ModelGraph(model.encoder.layers + model.decoder.layers)
-    curve = nn.train(graph, epochs, batches, ("reconstruction", "mask_bce"), "pretext")
-    model.encoder = ModelGraph(graph.layers[:n_enc])
-    model.decoder = ModelGraph(graph.layers[n_enc:])
-    return model, curve
+    return model, nn.train(model.net.graph, epochs, batches, ("reconstruction", "mask_bce"),
+                           "pretext")
 
 
 def semisup_train(

@@ -10,7 +10,6 @@ from progtab.cmixup import (
     PROJECTION_DIM,
     SUPCON_TEMPERATURE,
     W_CLF,
-    CmixupModel,
     PropagationError,
     _batch_losses,
     _knn_affinity,
@@ -21,7 +20,7 @@ from progtab.cmixup import (
     mix_latents,
     propagate_labels,
 )
-from progtab.nn import DenseLayer, ModelGraph, derive_seed, seeded_rng
+from progtab.nn import DenseLayer, HeadedEncoder, ModelGraph, derive_seed, seeded_rng
 
 
 class TestMixLatents:
@@ -294,17 +293,16 @@ def float64_model(input_dim, num_classes, latent_dim, seed):
     model = build_cmixup_model(input_dim, num_classes, latent_dim=latent_dim, seed=seed)
     rng = np.random.default_rng(seed)
 
-    def cast(graph):
-        return ModelGraph([DenseLayer(l.weight.astype(np.float64),
-                                      0.1 * rng.standard_normal(l.bias.shape), l.activation)
-                           for l in graph.layers])
-    return CmixupModel(cast(model.encoder), cast(model.heads), model.blocks)
+    return HeadedEncoder(ModelGraph([DenseLayer(l.weight.astype(np.float64),
+                                                0.1 * rng.standard_normal(l.bias.shape),
+                                                l.activation)
+                                     for l in model.graph.layers]), model.blocks)
 
 
 def four_model_gradient(model, xb, yb, labeled, mix):
     """One batch's gradient as the former encoder plus three separate heads
     computed it, laid out like the joint graph's params."""
-    (layer,) = model.heads.layers
+    layer = model.graph.layers[-1]
     heads = {head: ModelGraph([DenseLayer(layer.weight[:, cols], layer.bias[cols],
                                           "softmax" if head == "classifier" else "identity")])
              for head, cols in model.blocks.items()}
@@ -362,7 +360,7 @@ class TestEncoderTrain:
         xl, yl, xu, _ = cluster_training_data(seed=6, n=60)
         x_all = np.concatenate([xl, xu])
         model = float64_model(8, 2, latent_dim=6, seed=7)
-        initial = CmixupModel(model.encoder.copy(), model.heads.copy(), model.blocks)
+        initial = HeadedEncoder(model.graph.copy(), model.blocks)
         mixes, props, grads = [], [], []
 
         def recording(fn, out):
@@ -392,10 +390,9 @@ class TestEncoderTrain:
         want = four_model_gradient(initial, x_all[order], y_known[order], labeled, mixes[0])
         assert np.allclose(grads[0], want, rtol=1e-10, atol=0.0)
         # the model holds the initial weights moved by one Adam step on it
-        stepped = ModelGraph(initial.encoder.layers + initial.heads.layers)
+        stepped = initial.graph
         real_step(nn.make_optimizer(stepped, nn.ADAM_LEARNING_RATE), stepped, want)
-        assert np.allclose(np.concatenate([model.encoder.params, model.heads.params]),
-                           stepped.params, rtol=1e-10, atol=1e-12)
+        assert np.allclose(model.graph.params, stepped.params, rtol=1e-10, atol=1e-12)
 
     def test_one_forward_backward_and_step_per_batch(self, monkeypatch):
         calls = {"forward": 0, "backward": 0, "step": 0}
@@ -412,19 +409,18 @@ class TestEncoderTrain:
         monkeypatch.setattr(nn, "step", counting(calls, "step", recording_step))
         xl, yl, xu, _ = cluster_training_data(seed=3, n=100)
         model = build_cmixup_model(8, 2, latent_dim=6, seed=2)
-        before = [model.encoder.params.copy(), model.heads.params.copy()]
+        before = model.graph.params.copy()
         # 100 rows in batches of 32: four batches per epoch, two epochs of
         # warmup, then one propagation forward on the final encoder
         encoder_train(model, xl, yl, xu, 2, warmup_epochs=2, epochs=2, knn_k=10,
                       batch_size=32, seed=1)
         assert calls == {"forward": 9, "backward": 8, "step": 8}
-        assert len({id(graph) for graph in stepped}) == 1
-        trained = stepped[0].params
-        assert np.array_equal(np.concatenate([model.encoder.params, model.heads.params]),
-                              trained)
-        for old, part in zip(before, (model.encoder, model.heads)):
-            assert part.params.dtype == np.float32
-            assert not np.array_equal(old, part.params)
+        # the model's graph trained in place: its encoder and its heads moved
+        assert all(graph is model.graph for graph in stepped)
+        assert model.graph.params.dtype == np.float32
+        n_enc = model.encoder.params.size
+        assert not np.array_equal(before[:n_enc], model.graph.params[:n_enc])
+        assert not np.array_equal(before[n_enc:], model.graph.params[n_enc:])
 
     def test_joint_loss_gradcheck(self):
         # 16 rows: 6 true-labeled, 6 with pseudo-labels, 4 unknown, three
@@ -434,7 +430,7 @@ class TestEncoderTrain:
         yb = np.array([0, 1, 2, 0, 1, 2, 0, 0, 1, 1, 2, 2, -1, -1, -1, -1])
         labeled = np.arange(16) < 6
         model = float64_model(5, 3, latent_dim=4, seed=12)
-        graph = ModelGraph(model.encoder.layers + model.heads.layers)
+        graph = model.graph
 
         def loss_fn(m):
             fwd = m.forward(xb)
@@ -492,7 +488,7 @@ class TestClassify:
     def test_zero_logits_uniform_confidence(self):
         # the decoder and projection blocks keep their weights
         model = build_cmixup_model(4, 5, latent_dim=8, seed=0)
-        (heads,) = model.heads.layers
+        heads = model.graph.layers[-1]
         heads.weight[:, model.blocks["classifier"]] = 0.0
         heads.bias[model.blocks["classifier"]] = 0.0
         labels, conf = classify(model, np.random.default_rng(0).normal(size=(6, 4)))
@@ -539,15 +535,14 @@ class TestModelFlags:
         for head in names:
             assert model.blocks[head] == slice(at, at + widths[head])
             at += widths[head]
-        assert model.heads.output_dim == at
-        assert model.heads.layers[0].activation == "identity"
-        for part in (model.encoder, model.heads):
-            assert part.params.dtype == np.float32
+        assert model.graph.output_dim == at
+        assert model.graph.layers[-1].activation == "identity"
+        assert model.graph.params.dtype == np.float32
 
     def test_repeated_flags_make_one_block(self):
         model = build_cmixup_model(4, 2, flags=("classifier", "decoder", "classifier"))
         assert model.blocks == {"decoder": slice(0, 4), "classifier": slice(4, 6)}
-        assert model.heads.output_dim == 6
+        assert model.graph.output_dim == 6
 
     @pytest.mark.parametrize("flags", ABLATION_COMPONENTS)
     def test_blocks_are_the_separate_head_draws(self, flags):
@@ -557,7 +552,7 @@ class TestModelFlags:
                   "classifier": (3, "softmax")}
         for seed in range(5):
             model = build_cmixup_model(6, 3, latent_dim=8, flags=flags, seed=seed)
-            (heads,) = model.heads.layers
+            heads = model.graph.layers[-1]
             for head, cols in model.blocks.items():
                 width, act = widths[head]
                 (want,) = ModelGraph.mlp(8, (), width, act, seed=derive_seed(seed, f"cm-{head}"),

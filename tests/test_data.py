@@ -58,6 +58,20 @@ class TestLoadCsv:
         assert ds.schema[0].kind == "date"
         assert ds.rows[:, 0].tolist() == [0.0, 10.0]
 
+    @pytest.mark.parametrize("cells", [("5", "2020-01-01"), ("2020-01-01", "5")],
+                             ids=["number-first", "date-first"])
+    def test_numbers_and_dates_mixed_are_categorical(self, tmp_path, cells):
+        # a column is a date only if every present cell parses as one
+        p = write_csv(tmp_path, "a\n" + "\n".join(cells) + "\n")
+        ds = load_csv(p)
+        assert ds.schema[0].kind == "categorical"
+        assert ds.schema[0].domain == cells
+
+    def test_date_override_names_the_row_of_a_bad_cell(self, tmp_path):
+        p = write_csv(tmp_path, "a\n2020-01-01\n5\n")
+        with pytest.raises(DataError, match=re.escape("row 3: unparseable date '5' in 'a'")):
+            load_csv(p, kind_overrides={"a": "date"})
+
     def test_label_column(self, tmp_path):
         p = write_csv(tmp_path, "x,y\n1.0,0\n2.0,1\n3.0,1\n")
         ds = load_csv(p, label_column="y")

@@ -7,6 +7,7 @@ from progtab.nn import (
     DenseLayer,
     gradcheck_cases,
     GradientError,
+    HeadedEncoder,
     ModelGraph,
     NnError,
     TrainingDiverged,
@@ -379,6 +380,30 @@ class TestTrain:
             trainers[phase]()
         assert (exc.value.phase, exc.value.epoch) == (phase, 0)
         assert str(exc.value).startswith(f"{phase}: non-finite loss at epoch 0 (")
+
+
+class TestHeadedEncoder:
+    def test_encoder_is_a_view_that_one_train_step_moves(self):
+        net = HeadedEncoder.build(5, 4, 0, {"a": (3, 1), "b": (2, 2)})
+        encoder = net.encoder
+        assert len(encoder.layers) == len(net.graph.layers) - 1
+        assert np.shares_memory(encoder.params, net.graph.params)
+        assert encoder.params.size == 5 * 4 + 4
+        before = net.graph.params.copy()
+        x = np.random.default_rng(0).normal(size=(6, 5))
+
+        def batches(epoch):
+            yield x, lambda out: ((float((out**2).sum()),), 2 * out)
+
+        train(net.graph, 1, batches, ("l2",), "toy")
+        assert np.array_equal(encoder.params, net.graph.params[:encoder.params.size])
+        assert not np.array_equal(encoder.params, before[:encoder.params.size])
+        assert not np.array_equal(net.graph.params[encoder.params.size:],
+                                  before[encoder.params.size:])
+
+    def test_empty_heads_rejected(self):
+        with pytest.raises(NnError, match="at least one head"):
+            HeadedEncoder.build(5, 4, 0, {})
 
 
 class TestSeededRng:

@@ -4,7 +4,7 @@ import pytest
 from progtab import nn, vime
 from progtab.data import SplitSpec, SyntheticSpec, make_split, synthesize_dataset
 from progtab.encoding import encode, fit_cpr
-from progtab.nn import DenseLayer, ModelGraph
+from progtab.nn import DenseLayer, HeadedEncoder, ModelGraph
 from progtab.vime import (
     CorruptionSpec,
     VimeModel,
@@ -19,8 +19,8 @@ from progtab.vime import (
 
 def model_weights(model: VimeModel):
     parts = [model.predictor]
-    if model.encoder is not None:
-        parts = [model.encoder, model.decoder, model.predictor]
+    if model.net is not None:
+        parts = [model.net.graph, model.predictor]
     return [l.weight.copy() for part in parts for l in part.layers]
 
 
@@ -83,8 +83,7 @@ def counting(calls, name, fn):
 
 def eval_recon(model: VimeModel, x, spec: CorruptionSpec) -> float:
     xt, _ = corrupt(x, spec.p_mask, nn.seeded_rng(spec.seed, "eval"))
-    h = model.encoder.forward(xt).output
-    recon = model.decoder.forward(h).output[:, :x.shape[1]]
+    recon = model.net.graph.forward(xt).output[:, model.net.blocks["reconstruction"]]
     loss, _ = nn.loss_reconstruction(recon, x)
     return loss
 
@@ -93,8 +92,8 @@ class TestBuild:
     @pytest.mark.parametrize("with_encoder", [True, False])
     def test_every_component_is_float32(self, with_encoder):
         model = build_vime_model(6, 2, latent_dim=8, seed=0, with_encoder=with_encoder)
-        parts = [model.encoder, model.decoder, model.predictor]
-        for part in parts[0 if with_encoder else 2:]:
+        assert (model.net is not None) == with_encoder
+        for part in [model.predictor] + ([model.net.graph] if with_encoder else []):
             assert part.params.dtype == np.float32
 
     def test_decoder_halves_are_the_two_head_draws(self):
@@ -104,17 +103,18 @@ class TestBuild:
         heads = [ModelGraph.mlp(8, (), 6, "identity", seed=nn.derive_seed(4, tag),
                                 dtype=np.float32).layers[0]
                  for tag in ("feature-decoder", "mask-decoder")]
-        (layer,) = model.decoder.layers
+        assert model.net.blocks == {"reconstruction": slice(0, 6), "mask": slice(6, 12)}
+        layer = model.net.graph.layers[-1]
         assert layer.activation == "identity"
         assert np.array_equal(layer.weight, np.hstack([h.weight for h in heads]))
         assert np.array_equal(layer.bias, np.zeros(12, np.float32))
 
     @pytest.mark.parametrize("width", [6, 13])
-    def test_decoder_of_other_width_rejected(self, width):
+    def test_predictor_of_other_width_rejected(self, width):
         model = build_vime_model(6, 2, latent_dim=8, seed=0)
-        decoder = ModelGraph.mlp(8, (), width, "identity", seed=1)
-        with pytest.raises(nn.NnError, match="twice the input width"):
-            VimeModel(model.encoder, decoder, model.predictor)
+        predictor = ModelGraph.mlp(width, (), 2, "softmax", seed=1)
+        with pytest.raises(nn.NnError, match=f"predictor input width {width} must match"):
+            VimeModel(model.net, predictor)
 
 
 class TestPretext:
@@ -147,7 +147,9 @@ class TestPretext:
         encoder = ModelGraph.mlp(d, (), latent, "relu", seed=1)
         decoder = ModelGraph.mlp(latent, (), 2 * d, "identity", seed=2)
         predictor = ModelGraph.mlp(latent, (), 2, "softmax", seed=3)
-        model = VimeModel(encoder.copy(), decoder.copy(), predictor)
+        net = HeadedEncoder(ModelGraph(encoder.layers + decoder.layers),
+                            {"reconstruction": slice(0, d), "mask": slice(d, 2 * d)})
+        model = VimeModel(net, predictor)
         corrupted, grads = [], []
         real_corrupt = vime.corrupt
 
@@ -193,15 +195,32 @@ class TestPretext:
                             counting(calls, "backward", ModelGraph.backward))
         monkeypatch.setattr(nn, "step", counting(calls, "step", nn.step))
         model = build_vime_model(6, 2, latent_dim=8, seed=0)
-        before = [model.encoder.params.copy(), model.decoder.params.copy()]
+        graph = model.net.graph
+        before = graph.params.copy()
         # 40 rows in batches of 16: three batches per epoch
         pretext_train(model, rank1_dataset()[:40], CorruptionSpec(0.3, seed=1),
                       epochs=2, batch_size=16)
         assert calls == {"forward": 6, "backward": 6, "step": 6}
-        # the trained layers are the model's encoder and decoder afterwards
-        for old, part in zip(before, (model.encoder, model.decoder)):
-            assert part.params.dtype == np.float32
-            assert not np.array_equal(old, part.params)
+        # the net's graph trained in place: its encoder and its heads moved
+        assert model.net.graph is graph and graph.params.dtype == np.float32
+        n_enc = model.net.encoder.params.size
+        assert not np.array_equal(before[:n_enc], graph.params[:n_enc])
+        assert not np.array_equal(before[n_enc:], graph.params[n_enc:])
+
+    @pytest.mark.parametrize("heads", [None, {"decoder": 6, "projection": 32},
+                                       {"reconstruction": 6}, {"reconstruction": 6, "mask": 13},
+                                       {"reconstruction": 12, "mask": 6}],
+                             ids=["no-net", "cmixup-heads", "no-mask", "wide-mask",
+                                  "wide-reconstruction"])
+    def test_net_without_input_wide_pretext_heads_rejected(self, heads):
+        if heads is None:
+            model = build_vime_model(6, 2, latent_dim=8, seed=0, with_encoder=False)
+        else:
+            net = HeadedEncoder.build(6, 8, 0, {h: (w, seed)
+                                                for seed, (h, w) in enumerate(heads.items())})
+            model = VimeModel(net, ModelGraph.mlp(8, (), 2, "softmax", seed=1))
+        with pytest.raises(ValueError, match="reconstruction and mask heads of the input width 6"):
+            pretext_train(model, rank1_dataset()[:40], CorruptionSpec(0.3, seed=1), epochs=1)
 
     @pytest.mark.parametrize("n_rows,batch_size", [(0, 256), (1, 256), (50, 1)])
     def test_no_batch_of_two_rows_rejected(self, n_rows, batch_size):
@@ -272,7 +291,7 @@ class TestSemisup:
                             counting(calls, "backward", ModelGraph.backward))
         monkeypatch.setattr(nn, "step", counting(calls, "step", recording_step))
         model = build_vime_model(6, 2, latent_dim=8, seed=0)
-        encoder, predictor = model.encoder.params.copy(), model.predictor.params.copy()
+        encoder, predictor = model.net.encoder.params.copy(), model.predictor.params.copy()
         x = rank1_dataset()
         # 40 labeled rows in batches of 16: three batches per epoch, each
         # with three corrupted copies of 16 unlabeled rows
@@ -281,7 +300,7 @@ class TestSemisup:
         # each batch is one encoder forward to the latent, then the predictor's
         assert calls == {"forward": 12, "backward": 6, "step": 6}
         assert all(graph is model.predictor for graph in stepped)
-        assert np.array_equal(model.encoder.params, encoder)
+        assert np.array_equal(model.net.encoder.params, encoder)
         assert not np.array_equal(model.predictor.params, predictor)
 
     def test_pipeline_bitwise_reproducible(self):
@@ -324,7 +343,7 @@ class TestSemisup:
 
         monkeypatch.setattr(vime, "corrupt", recording_corrupt)
         monkeypatch.setattr(nn, "step", recording_step)
-        semisup_train(VimeModel(None, None, predictor), x_lab, y_lab, x_unlab,
+        semisup_train(VimeModel(None, predictor), x_lab, y_lab, x_unlab,
                       CorruptionSpec(0.3, seed=4), beta=0.5, k_corruptions=3, epochs=1,
                       batch_size=16)
 
@@ -375,7 +394,7 @@ class TestSemisup:
 class TestPredict:
     def test_zero_logits_tie_break(self):
         predictor = ModelGraph([DenseLayer(np.zeros((4, 3)), np.zeros(3), "softmax")])
-        model = VimeModel(None, None, predictor)
+        model = VimeModel(None, predictor)
         labels, conf = predict(model, np.ones((2, 4)))
         assert np.all(labels == 0)  # ties break to the lowest class index
         assert np.allclose(conf, 1 / 3)
@@ -384,7 +403,7 @@ class TestPredict:
         w = np.zeros((2, 3))
         w[0, 2] = 50.0
         predictor = ModelGraph([DenseLayer(w, np.zeros(3), "softmax")])
-        model = VimeModel(None, None, predictor)
+        model = VimeModel(None, predictor)
         labels, conf = predict(model, np.array([[1.0, 0.0]]))
         assert labels[0] == 2
         assert conf[0] > 1 - 1e-12
