@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -267,6 +269,12 @@ def parse_experiment_config(payload: dict) -> ExperimentConfig:
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         problems.append("method names must be unique")
+    slugs = {}
+    for name in names:  # each report file is named by its method's slug
+        other = slugs.setdefault(_method_slug(name), name)
+        if other != name:
+            problems.append(f"methods {other!r} and {name!r} would both write reports "
+                            f"named {_method_slug(name)}_seed<s>.json")
     problems += [f"method {m.name!r}: {p}" for m in methods for p in m.validate()]
     if problems:
         raise ConfigError("; ".join(problems))
@@ -300,17 +308,22 @@ class ResultsTable:
                            "cells": self.cells}, indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        lines = [f"method,{METRIC}_mean,{METRIC}_std,n_seeds,formatted"]
-        for m in self.methods:
-            c = self.cells[m]
-            lines.append(f"{m},{c['mean']!r},{c['std']!r},{c['n_seeds']},{c['formatted']}")
-        return "\n".join(lines) + "\n"
+        keys = ("mean", "std", "n_seeds", "formatted")
+        return _csv_text(["method", f"{METRIC}_mean", f"{METRIC}_std", "n_seeds", "formatted"],
+                         [[m, *(self.cells[m][k] for k in keys)] for m in self.methods])
 
     def to_markdown(self) -> str:
         lines = [f"| Method | {METRIC} |", "| --- | --- |"]
         for m in self.methods:
             lines.append(f"| {m} | {self.cells[m]['formatted']} |")
         return "\n".join(lines) + "\n"
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """The header and rows as CSV; a field with a comma, quote or newline is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
 
 
 def format_cell(mean: float, std: float) -> str:
@@ -331,9 +344,7 @@ def _method_slug(name: str) -> str:
 def _run_pair(args):
     ds, split_spec, method, seed = args
     split = make_split(ds, replace(split_spec, seed=seed))
-    cfg = replace(method, seed=seed)
-    cfg.name = method.name
-    return run_progressive(ds, split, cfg), split.stratified
+    return run_progressive(ds, split, replace(method, seed=seed)), split.stratified
 
 
 def _run_pairs(ds: TabularDataset, split_spec: SplitSpec, config: ExperimentConfig,
@@ -412,10 +423,8 @@ def emit_ratio_sweep(config: ExperimentConfig, ratios: list[float]):
         summary = compare_runs(reports) if reports else {}
         rows += [(m.name, ratio, s["mean"], s["std"], s["n_seeds"])
                  for m in config.methods if (s := summary.get(m.name))]
-    lines = ["method,ratio,mean_acc,std_acc,n_seeds"]
-    lines += [f"{name},{ratio!r},{mean!r},{std!r},{n}" for name, ratio, mean, std, n in rows]
     with open(os.path.join(config.output_dir, "ratio_sweep.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_csv_text(["method", "ratio", "mean_acc", "std_acc", "n_seeds"], rows))
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if failures:

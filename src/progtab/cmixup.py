@@ -339,7 +339,7 @@ def encoder_train(
     knn_k: int = 50,
     batch_size: int = 256,
     seed: int = 0,
-) -> tuple[HeadedEncoder, PropagationResult, list[dict]]:
+) -> tuple[PropagationResult, list[dict]]:
     """First training step: reconstruction + same-label mixup supervised
     contrastive (temperature SUPCON_TEMPERATURE) + W_CLF * classifier CE, each
     term only when its head exists. Label propagation, with propagate_labels'
@@ -351,8 +351,8 @@ def encoder_train(
     true-labeled row for the classifier, under two known labels for the
     projection) gets a zero gradient, and Adam still moves its block.
 
-    Propagation runs on the encoder output. Returns the trained model, the
-    propagation result on the final latents, and per-epoch mean losses.
+    Propagation runs on the encoder output. Returns the propagation result
+    on the final latents and per-epoch mean losses.
     """
     rng_shuffle = seeded_rng(seed, "cm-shuffle")
     rng_mix = seeded_rng(seed, "cm-mixup")
@@ -379,7 +379,7 @@ def encoder_train(
 
     curve = nn.train(model.graph, epochs, batches, ("reconstruction", "supcon", "classifier_ce"),
                      "cmixup-encoder")
-    return model, run_propagation(), curve
+    return run_propagation(), curve
 
 
 def classify(model: HeadedEncoder, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -415,7 +415,7 @@ def synthesize_dataset(gen: SyntheticSpec) -> TabularDataset:
                      tuple(f"v{i}" for i in range(gen.cardinality)))
         for j in range(gen.n_cat_cols)
     ] + [ColumnSchema(f"num{j}", "numerical") for j in range(gen.n_num_cols)]
-    cells = np.column_stack([cat_cells.astype(np.float64), num_cells]) if gen.n_num_cols or gen.n_cat_cols else np.empty((n, 0))
+    cells = np.column_stack([cat_cells.astype(np.float64), num_cells])
     return TabularDataset(tuple(schema), cells, labels, C)
 
 

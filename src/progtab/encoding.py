@@ -1,5 +1,6 @@
-"""Categorical encodings: one count table read as conditional probabilities
-(core) or as target encoding, and one-hot and label encoding baselines.
+"""Categorical encodings: one count table read as smoothed class
+probabilities, with a uniform prior (conditional probabilities, core) or the
+label prior (target encoding), and one-hot and label encoding baselines.
 
 The count table stores exact integer co-occurrence counts and computes
 probabilities on read, so incremental updates and refits agree exactly.
@@ -23,12 +24,12 @@ class CountTable:
     """Per categorical column: a (cardinality, C) matrix of exact (value, class)
     counts, read as one probability row per value.
 
-    With ``smoothing=None`` the read is Laplace: value v encodes as
-    (counts[v] + alpha) / (total[v] + C*alpha), and a value with zero total
-    and alpha=0 falls back to the uniform 1/C vector. With a positive
-    ``smoothing`` s the read is target encoding (Micci-Barreca, 2001): a value
-    with n observations encodes as n/(n+s) * counts[v]/n + s/(n+s) * prior,
-    where the prior is the class share of all counted rows.
+    One read rule: value v with n > 0 counts reads
+    (counts[v] + pseudo) / (n + strength), and a value with no count reads
+    the prior. ``smoothing=None`` is Laplace: pseudo alpha, strength C*alpha
+    and a uniform prior. A positive ``smoothing`` s is target encoding
+    (Micci-Barreca, 2001): pseudo s*prior, strength s, and the prior is the
+    class share of all counted rows.
     """
 
     counts: dict[str, np.ndarray]  # column name -> (K_m, C) int64
@@ -51,21 +52,16 @@ class CountTable:
         """(K_m, C) encoded rows; each sums to 1."""
         counts = self.counts[column]
         c = counts.astype(np.float64)
-        if self.smoothing is None:
-            denom = c.sum(axis=1, keepdims=True) + self.num_classes * self.laplace_alpha
-            p = (c + self.laplace_alpha) / np.where(denom > 0, denom, 1.0)
-            zero = denom[:, 0] <= 0
-            if zero.any():
-                p[zero] = 1.0 / self.num_classes
-            return p
-        # every counted row adds one count per column, so any column's class
-        # sums are the label histogram
-        prior = counts.sum(axis=0) / max(1, int(counts.sum()))
         n = c.sum(axis=1, keepdims=True)
-        weight = n / (n + self.smoothing)
-        with np.errstate(invalid="ignore"):
-            estimate = np.where(n > 0, c / np.where(n > 0, n, 1.0), 0.0)
-        return weight * estimate + (1.0 - weight) * prior
+        if self.smoothing is None:
+            prior = np.full(self.num_classes, 1.0 / self.num_classes)
+            pseudo, strength = self.laplace_alpha, self.num_classes * self.laplace_alpha
+        else:
+            # any column's class sums are the histogram of the counted labels
+            prior = counts.sum(axis=0) / max(1, int(counts.sum()))
+            pseudo, strength = self.smoothing * prior, self.smoothing
+        with np.errstate(invalid="ignore"):  # 0/0 where n = strength = 0
+            return np.where(n > 0, (c + pseudo) / (n + strength), prior)
 
     def block_widths(self) -> dict[str, int]:
         return {name: self.num_classes for name in self.counts}
@@ -106,27 +102,21 @@ class EncodedMatrix:
         return self.matrix.shape[1]
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise EncodingError(f"label outside [0, {num_classes})")
-    return labels
-
-
 def _count(ds: TabularDataset, rows: np.ndarray, labels: np.ndarray) -> dict[str, np.ndarray]:
     """(value, class) co-occurrence counts of every categorical column over
-    ``rows``; every domain value gets an entry, possibly all-zero."""
+    ``rows``, one flat bincount each; every domain value gets a row."""
     rows = np.asarray(rows, dtype=np.int64)
-    labels = _check_labels(labels, ds.num_classes)
+    labels = np.asarray(labels, dtype=np.int64)
+    C = ds.num_classes
+    if labels.size and (labels.min() < 0 or labels.max() >= C):
+        raise EncodingError(f"label outside [0, {C})")
     if labels.shape != rows.shape:
         raise EncodingError("labels must align one-to-one with rows")
-    counts: dict[str, np.ndarray] = {}
+    counts = {}
     for m in ds.categorical_columns():
-        col = ds.schema[m]
-        c = np.zeros((col.cardinality, ds.num_classes), dtype=np.int64)
-        values = ds.rows[rows, m].astype(np.int64)
-        np.add.at(c, (values, labels), 1)
-        counts[col.name] = c
+        k = ds.schema[m].cardinality
+        flat = ds.rows[rows, m].astype(np.int64) * C + labels
+        counts[ds.schema[m].name] = np.bincount(flat, minlength=k * C).reshape(k, C)
     return counts
 
 

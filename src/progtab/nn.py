@@ -372,15 +372,13 @@ ADAM_EPS = 1e-8
 class OptimizerState:
     """Adam moments for one model, laid out like its ``params``."""
 
-    learning_rate: float
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
 
 
-def make_optimizer(model: ModelGraph, learning_rate: float) -> OptimizerState:
-    return OptimizerState(learning_rate, np.zeros_like(model.params),
-                          np.zeros_like(model.params))
+def make_optimizer(model: ModelGraph) -> OptimizerState:
+    return OptimizerState(np.zeros_like(model.params), np.zeros_like(model.params))
 
 
 def step(optimizer: OptimizerState, model: ModelGraph, grads: np.ndarray) -> None:
@@ -397,7 +395,7 @@ def step(optimizer: OptimizerState, model: ModelGraph, grads: np.ndarray) -> Non
     # a statement of its own, so that no more than two parameter-sized
     # temporaries are alive at once
     denom = np.sqrt(v / correct2) + ADAM_EPS
-    model.params -= optimizer.learning_rate * (m / correct1) / denom
+    model.params -= ADAM_LEARNING_RATE * (m / correct1) / denom
 
 
 def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],
@@ -410,7 +408,7 @@ def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],
     that is not finite raises TrainingDiverged for ``phase`` before backward;
     an epoch that yields no batch raises ValueError.
     """
-    opt = make_optimizer(graph, ADAM_LEARNING_RATE)
+    opt = make_optimizer(graph)
     curve = []
     for epoch in range(epochs):
         values = []

@@ -267,13 +267,12 @@ def _train_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConfig, s
                                  with_encoder=config.pretext_enabled)
         spec = CorruptionSpec(config.p_mask, seed=seed)
         if config.pretext_enabled:
-            _, pre_curve = vime.pretext_train(model, xu, spec, epochs=config.pretext_epochs,
-                                              batch_size=config.batch_size)
-            curves["pretext"] = _curve_to_json(pre_curve)
+            curves["pretext"] = _curve_to_json(vime.pretext_train(
+                model, xu, spec, epochs=config.pretext_epochs, batch_size=config.batch_size))
     else:
         net = cmixup.build_cmixup_model(xl.shape[1], num_classes, latent_dim=config.latent_dim,
                                         flags=config.component_flags, seed=seed)
-        _, prop, enc_curve = cmixup.encoder_train(
+        prop, enc_curve = cmixup.encoder_train(
             net, xl, yl, xu, num_classes, warmup_epochs=config.warmup_epochs,
             epochs=config.encoder_epochs, knn_k=config.knn_k,
             batch_size=config.batch_size, seed=seed,
@@ -283,7 +282,7 @@ def _train_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConfig, s
             config.latent_dim, config.predictor_hidden, num_classes, "softmax",
             seed=derive_seed(seed, "cm-step2-predictor"), dtype=np.float32))
         spec = CorruptionSpec(config.p_mask, seed=derive_seed(seed, "cm-step2"))
-    _, semi_curve = vime.semisup_train(
+    semi_curve = vime.semisup_train(
         model, xl, yl, xu, spec, beta=config.beta_consistency,
         k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
         batch_size=config.batch_size,

@@ -107,11 +107,10 @@ def pretext_train(
     spec: CorruptionSpec,
     epochs: int = 10,
     batch_size: int = 256,
-) -> tuple[VimeModel, list[dict]]:
+) -> list[dict]:
     """Denoising pretext training, a batch body for nn.train: reconstruction
     MSE + mask BCE, each on its head's block of ``model.net``'s output. The
-    net's graph trains in place. Returns the model and per-epoch mean
-    losses."""
+    net's graph trains in place. Returns per-epoch mean losses."""
     n, d = x_unlab.shape
     if min(n, batch_size) < 2:
         raise ValueError(f"pretext_train: {n} rows in batches of "
@@ -140,8 +139,7 @@ def pretext_train(
 
             yield x_tilde, losses
 
-    return model, nn.train(model.net.graph, epochs, batches, ("reconstruction", "mask_bce"),
-                           "pretext")
+    return nn.train(model.net.graph, epochs, batches, ("reconstruction", "mask_bce"), "pretext")
 
 
 def semisup_train(
@@ -154,10 +152,11 @@ def semisup_train(
     k_corruptions: int = 3,
     epochs: int = 20,
     batch_size: int = 256,
-) -> tuple[VimeModel, list[dict]]:
+) -> list[dict]:
     """Predictor training, a batch body for nn.train: CE on corrupted labeled
     batches + beta * consistency across k_corruptions corrupted copies of
-    unlabeled batches, stacked into one batch. The encoder stays frozen.
+    unlabeled batches, stacked into one batch. The predictor trains in place
+    and the encoder stays frozen. Returns per-epoch mean losses.
 
     Corruption is applied before the encoder in this step too (identity when
     p_mask=0), so scarce labeled rows are augmented the same way unlabeled
@@ -197,7 +196,7 @@ def semisup_train(
 
             yield model.latent(xb), losses
 
-    return model, nn.train(model.predictor, epochs, batches, ("ce", "consistency"), "semisup")
+    return nn.train(model.predictor, epochs, batches, ("ce", "consistency"), "semisup")
 
 
 def predict(model: VimeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

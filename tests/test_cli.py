@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -123,6 +125,13 @@ class TestValidate:
         with pytest.raises(ConfigError, match="seeds"):
             parse_experiment_config(payload)
 
+    def test_methods_whose_reports_share_a_file_invalid(self, tmp_path):
+        # both names slug to "sup-a", so one report would replace the other
+        payload = tiny_payload(tmp_path, [{"preset": "supervised", "name": "sup a"},
+                                          {"preset": "supervised", "name": "sup-a"}])
+        with pytest.raises(ConfigError, match="'sup a' and 'sup-a'"):
+            parse_experiment_config(payload)
+
     def test_classifier_threshold_needs_classifier_flag(self, tmp_path):
         with pytest.raises(ConfigError, match="classifier"):
             parse_experiment_config(tiny_payload(tmp_path, [
@@ -173,6 +182,33 @@ class TestRunExperiment:
         raw = np.array(cell["raw"])
         assert abs(raw.mean() - cell["mean"]) < 1e-12
         assert abs(raw.std() - cell["std"]) < 1e-12
+
+
+class TestCsvOutputs:
+    NAME = 'sup,b "quoted"'
+
+    def test_results_csv_round_trips_a_comma_and_a_quote(self, tmp_path):
+        payload = tiny_payload(tmp_path, [
+            {"preset": "supervised", "overrides": fast_overrides(), "name": self.NAME}])
+        table, _ = run_experiment(parse_experiment_config(payload))
+        text = Path(payload["output_dir"], "results.csv").read_text()
+        header, row = csv.reader(io.StringIO(text))
+        assert len(header) == len(row) == 5
+        cell = table.cells[self.NAME]
+        assert row == [self.NAME, repr(cell["mean"]), repr(cell["std"]),
+                       str(cell["n_seeds"]), cell["formatted"]]
+
+    def test_ratio_sweep_csv_round_trips_a_comma_and_a_quote(self, tmp_path):
+        payload = tiny_payload(tmp_path, [
+            {"preset": "supervised", "overrides": fast_overrides(), "name": self.NAME}],
+            n_rows=300)
+        rows, _ = emit_ratio_sweep(parse_experiment_config(payload), [0.3])
+        text = Path(payload["output_dir"], "ratio_sweep.csv").read_text()
+        header, row = csv.reader(io.StringIO(text))
+        assert header == ["method", "ratio", "mean_acc", "std_acc", "n_seeds"]
+        name, ratio, mean, std, n = rows[0]
+        assert row == [name, repr(ratio), repr(mean), repr(std), str(n)]
+        assert name == self.NAME
 
 
 class TestAblationMatrix:

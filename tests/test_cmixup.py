@@ -391,7 +391,7 @@ class TestEncoderTrain:
         assert np.allclose(grads[0], want, rtol=1e-10, atol=0.0)
         # the model holds the initial weights moved by one Adam step on it
         stepped = initial.graph
-        real_step(nn.make_optimizer(stepped, nn.ADAM_LEARNING_RATE), stepped, want)
+        real_step(nn.make_optimizer(stepped), stepped, want)
         assert np.allclose(model.graph.params, stepped.params, rtol=1e-10, atol=1e-12)
 
     def test_one_forward_backward_and_step_per_batch(self, monkeypatch):
@@ -448,7 +448,7 @@ class TestEncoderTrain:
         # decoder+projection is the unmodified contrastive-mixup architecture
         xl, yl, xu, _ = cluster_training_data()
         model = build_cmixup_model(8, 2, latent_dim=16, flags=("decoder", "projection"), seed=0)
-        model, prop, curve = encoder_train(
+        prop, curve = encoder_train(
             model, xl, yl, xu, 2, warmup_epochs=2, epochs=4, knn_k=20, seed=0)
         assert prop.pseudo_label.shape == (xl.shape[0] + xu.shape[0],)
         assert {"reconstruction", "supcon", "classifier_ce"} <= set(curve[0])
@@ -457,7 +457,7 @@ class TestEncoderTrain:
     def test_pure_autoencoder_path(self):
         xl, yl, xu, _ = cluster_training_data(seed=1)
         model = build_cmixup_model(8, 2, latent_dim=16, flags=("decoder",), seed=1)
-        model, _, curve = encoder_train(
+        _, curve = encoder_train(
             model, xl, yl, xu, 2, warmup_epochs=2, epochs=6, knn_k=20, seed=1)
         assert curve[-1]["reconstruction"] < curve[0]["reconstruction"]
         assert all(e["supcon"] == 0.0 for e in curve)
@@ -467,8 +467,8 @@ class TestEncoderTrain:
 
         def run():
             model = build_cmixup_model(8, 2, latent_dim=16, seed=3)
-            _, prop, _ = encoder_train(model, xl, yl, xu, 2,
-                                       warmup_epochs=2, epochs=4, knn_k=20, seed=3)
+            prop, _ = encoder_train(model, xl, yl, xu, 2,
+                                    warmup_epochs=2, epochs=4, knn_k=20, seed=3)
             return prop
 
         a, b = run(), run()
@@ -478,8 +478,8 @@ class TestEncoderTrain:
     def test_propagation_recovers_clusters_after_training(self):
         xl, yl, xu, yu = cluster_training_data(seed=4)
         model = build_cmixup_model(8, 2, latent_dim=16, seed=4)
-        _, prop, _ = encoder_train(model, xl, yl, xu, 2,
-                                   warmup_epochs=3, epochs=6, knn_k=20, seed=4)
+        prop, _ = encoder_train(model, xl, yl, xu, 2,
+                                warmup_epochs=3, epochs=6, knn_k=20, seed=4)
         pseudo_unlab = prop.pseudo_label[~prop.is_labeled]
         assert (pseudo_unlab == yu).mean() > 0.9
 

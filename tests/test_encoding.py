@@ -277,6 +277,37 @@ class TestInvariants:
         # the zero-information fallback is also a distribution
         assert np.all(np.abs(p.sum(axis=1) - 1.0) < 1e-12)
 
+    @given(
+        k=st.integers(1, 12),
+        c=st.integers(2, 5),
+        alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.5]),
+        smoothing=st.sampled_from([None, 0.5, 2.0, 10.0]),
+        seed=st.integers(0, 10000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_read_rule(self, k, c, alpha, smoothing, seed):
+        """Laplace and target encoding both read (counts + pseudo) /
+        (n + strength) for a counted value, and its prior for an uncounted one."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 6, size=(k, c)) * (rng.random((k, 1)) < 0.7)
+        t = CountTable({"c": counts}, c, laplace_alpha=alpha, smoothing=smoothing)
+        got = t.probabilities("c")
+        rows = counts.tolist()
+        total = sum(map(sum, rows))
+        if smoothing is None:
+            prior = [1 / c] * c
+            pseudo, strength = [alpha] * c, c * alpha
+        else:
+            prior = [sum(r[j] for r in rows) / max(1, total) for j in range(c)]
+            pseudo, strength = [smoothing * p for p in prior], smoothing
+        for v, row in enumerate(rows):
+            n = sum(row)
+            if n == 0:
+                assert got[v].tolist() == prior
+            else:
+                want = [(row[j] + pseudo[j]) / (n + strength) for j in range(c)]
+                assert np.allclose(got[v], want, rtol=1e-14, atol=0.0)
+
     @given(seed=st.integers(0, 10000))
     @settings(max_examples=25, deadline=None)
     def test_oracle_equivalence_random_instances(self, seed):

@@ -123,7 +123,7 @@ class TestPretext:
         spec = CorruptionSpec(0.3, seed=2)
         model = build_vime_model(6, 2, latent_dim=8, seed=3)
         before = eval_recon(model, x, spec)
-        model, curve = pretext_train(model, x, spec, epochs=180, batch_size=64)
+        curve = pretext_train(model, x, spec, epochs=180, batch_size=64)
         after = eval_recon(model, x, spec)
         assert after < 0.1 * before
         assert curve[-1]["reconstruction"] < curve[0]["reconstruction"]
@@ -232,8 +232,8 @@ class TestPretext:
 
     def test_two_rows_train(self):
         model = build_vime_model(6, 2, latent_dim=8, seed=0)
-        _, curve = pretext_train(model, rank1_dataset()[:2], CorruptionSpec(0.3, seed=1),
-                                 epochs=2)
+        curve = pretext_train(model, rank1_dataset()[:2], CorruptionSpec(0.3, seed=1),
+                              epochs=2)
         assert all(np.isfinite(v) for e in curve for v in e.values())
 
 
@@ -265,7 +265,7 @@ class TestSemisup:
         ds, split, x = desk_data(1)
         y = ds.labels
         model = build_vime_model(x.shape[1], 3, predictor_hidden=(16,), seed=1, with_encoder=False)
-        _, curve = semisup_train(
+        curve = semisup_train(
             model, x[split.labeled_idx], y[split.labeled_idx], x[split.unlabeled_idx],
             CorruptionSpec(0.0, seed=2), beta=1.0, k_corruptions=2, epochs=3,
         )
