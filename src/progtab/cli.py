@@ -313,9 +313,12 @@ class ResultsTable:
                          [[m, *(self.cells[m][k] for k in keys)] for m in self.methods])
 
     def to_markdown(self) -> str:
+        """A Markdown table; a `|` in a method name, and each backslash
+        before one, is escaped, so every row keeps two cells."""
         lines = [f"| Method | {METRIC} |", "| --- | --- |"]
         for m in self.methods:
-            lines.append(f"| {m} | {self.cells[m]['formatted']} |")
+            cell = re.sub(r"(\\*)\|", lambda hit: hit[1] * 2 + r"\|", m)
+            lines.append(f"| {cell} | {self.cells[m]['formatted']} |")
         return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,10 @@ graph-based label propagation for pseudo-labels.
 
 Propagation builds a symmetric kNN graph over latents (cosine similarity,
 deterministic for a given input), normalizes it symmetrically, and solves
-(I - alpha * S) Z = Y one class at a time with conjugate gradients. Each
+(I - alpha * S) Z = Y one class at a time with conjugate gradients. The
+graph's row blocks and the class solves run on a thread pool made per call,
+with one worker per CPU in the process's affinity set; the graph and the
+pseudo-labels do not depend on the number of workers. Each
 row's k neighbours are found without sorting the whole row: the k-th largest
 of its maxima over 256 column groups bounds its k-th largest similarity from
 below, and only the entries above that bound are sorted. Ties at the k-th
@@ -18,6 +21,7 @@ rows score near 1 and untouched rows score 0.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -117,82 +121,120 @@ def latent_mixup(
                       labels.size - anchor_idx.size)
 
 
-# similarities held at once while building the kNN graph: 4M values, 16 MB
-# in float32 (the training pipelines' latents) and 32 MB in float64
+# similarities held at once while building the kNN graph, over all workers:
+# 4M values, 16 MB in float32 (the training pipelines' latents) and 32 MB in
+# float64
 _SIM_BLOCK_VALUES = 1 << 22
 # column groups whose maxima bound each row's k-th largest similarity
 _KNN_GROUPS = 256
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: the worker count of each thread pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _knn_affinity(latents: np.ndarray, k: int) -> sp.csr_matrix:
     """Symmetric kNN graph on cosine similarity; negative similarities are
     clipped to zero and carry no edge.
 
-    Rows are processed in blocks of at most _SIM_BLOCK_VALUES similarities.
-    A row's columns fall into G groups by index modulo G (G = _KNN_GROUPS,
-    raised to k and capped at n). Let tau be the k-th largest group maximum:
-    k groups each hold an entry >= tau, so tau is a lower bound on the row's
-    k-th largest similarity, and only entries above max(tau, 0) are sorted.
-    They lie in at most k - 1 groups, about 54 per row at n = 16,000 and
-    k = 50. When fewer than k lie above tau, the k-th similarity equals
-    tau and the rest are filled from the entries equal to tau. Ties at the
-    k-th similarity go to the lowest column index.
+    Rows are processed in blocks, on a thread pool with one worker per CPU
+    that the process may run on: worker w of W takes blocks w, w + W, ...,
+    each block at most _SIM_BLOCK_VALUES // W similarities, in a buffer made
+    on the calling thread. A row's columns fall into G groups by index
+    modulo G (G = _KNN_GROUPS, raised to k and capped at n). Let tau be the
+    k-th largest group maximum: k groups each hold an entry >= tau, so tau
+    is a lower bound on the row's k-th largest similarity, and only entries
+    above max(tau, 0) are sorted. They lie in at most k - 1 groups, about 54
+    per row at n = 16,000 and k = 50. When fewer than k lie above tau, the
+    k-th similarity equals tau and the rest are filled from the entries
+    equal to tau. Ties at the k-th similarity go to the lowest column index.
+    Each row's edges depend on that row alone, so the graph does not depend
+    on the number of workers or the block size.
 
     Similarities are computed and compared in the latents' dtype, so float32
     latents give a float32 graph search; the edge weights are float64."""
     import scipy.sparse as sp
+    from concurrent.futures.thread import ThreadPoolExecutor
 
     n = latents.shape[0]
     z = nn.l2_normalize_rows(np.asarray(latents))
-    block = max(1, min(n, _SIM_BLOCK_VALUES // n))
-    buf = np.empty((block, n), dtype=z.dtype)
+    cpus = _cpus()
+    block = max(1, min(n, _SIM_BLOCK_VALUES // cpus // n))
+    n_blocks = -(-n // block)
+    workers = min(cpus, n_blocks)
     groups = min(n, max(_KNN_GROUPS, k))
-    span = n // groups * groups  # columns past span fold into the first groups
-    rows, cols, vals = [], [], []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        b = stop - start
-        sims = np.matmul(z[start:stop], z.T, out=buf[:b])
-        sims[np.arange(b), np.arange(start, stop)] = -np.inf
-        gmax = np.maximum.reduce(sims[:, :span].reshape(b, -1, groups), axis=1)
-        np.maximum(gmax[:, :n - span], sims[:, span:], out=gmax[:, :n - span])
-        tau = np.partition(gmax, groups - k, axis=1)[:, groups - k]
 
-        # candidates, packed per row in column order and sorted stably by
-        # descending similarity; padding (+inf) sorts last
-        flat = np.flatnonzero(sims > np.maximum(tau, 0.0)[:, None])
-        r, c = np.divmod(flat, n)
-        above = np.bincount(r, minlength=b)
-        starts = np.cumsum(above) - above
-        neg = np.full((b, int(above.max(initial=0))), np.inf, dtype=z.dtype)
-        neg[r, np.arange(flat.size) - np.repeat(starts, above)] = -sims.ravel()[flat]
-        best = np.argsort(neg, axis=1, kind="stable")[:, :k]
-        top = np.take_along_axis(neg, best, axis=1)
-        kept = top < np.inf
-        rows.append(start + np.nonzero(kept)[0])
-        cols.append(c[(starts[:, None] + best)[kept]])
-        vals.append(-top[kept])
+    def worker_blocks(first: int, buf: np.ndarray) -> list:
+        return [_knn_block(z, start, buf[:min(block, n - start)], k, groups)
+                for start in range(first * block, n, workers * block)]
 
-        # rows with fewer than k entries above a positive tau take the
-        # lowest-index entries equal to tau; every group whose maximum is tau
-        # holds one, so there are enough. They are scanned in column windows
-        # that start at [0, 4k) and double in width while a row is short.
-        need = np.where(tau > 0, k - above, 0)
-        short = np.flatnonzero(need > 0)
-        lo, hi = 0, 4 * k
-        while short.size:
-            ties = sims[short, lo:hi] == tau[short, None]
-            ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= need[short, None]
-            tr, tc = np.nonzero(ties)
-            rows.append(start + short[tr])
-            cols.append(lo + tc)
-            vals.append(tau[short[tr]])
-            need[short] -= np.count_nonzero(ties, axis=1)
-            short = short[need[short] > 0]
-            lo, hi = hi, hi + 2 * (hi - lo)
-    w = sp.csr_matrix((np.concatenate(vals, dtype=np.float64),
-                       (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    bufs = [np.empty((block, n), dtype=z.dtype) for _ in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(worker_blocks, range(workers), bufs))
+    del bufs
+    # block i is the (i // workers)-th block of worker i % workers
+    blocks = [parts[i % workers][i // workers] for i in range(n_blocks)]
+    del parts
+    counts, cols, vals = (np.concatenate(p) for p in zip(*blocks))
+    del blocks
+    w = sp.csr_matrix((vals, cols, np.concatenate(([0], np.cumsum(counts)))), shape=(n, n))
     return w.maximum(w.T)
+
+
+def _knn_block(z: np.ndarray, start: int, sims: np.ndarray, k: int,
+               groups: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges of rows start:start + b of _knn_affinity's graph before it
+    is symmetrized, for the unit rows z, with sims (b, n) as the block's
+    similarity buffer: each row's edge count, then every edge's column
+    (int32) and weight (float64), row by row in column order."""
+    n = z.shape[0]
+    b = sims.shape[0]
+    span = n // groups * groups  # columns past span fold into the first groups
+    np.matmul(z[start:start + b], z.T, out=sims)
+    sims[np.arange(b), np.arange(start, start + b)] = -np.inf
+    gmax = np.maximum.reduce(sims[:, :span].reshape(b, -1, groups), axis=1)
+    np.maximum(gmax[:, :n - span], sims[:, span:], out=gmax[:, :n - span])
+    tau = np.partition(gmax, groups - k, axis=1)[:, groups - k]
+
+    # candidates, packed per row in column order and sorted stably by
+    # descending similarity; padding (+inf) sorts last. An edge is kept as
+    # its flat position row * n + column in sims.
+    flat = np.flatnonzero(sims > np.maximum(tau, 0.0)[:, None])
+    r = flat // n
+    above = np.bincount(r, minlength=b)
+    starts = np.cumsum(above) - above
+    neg = np.full((b, int(above.max(initial=0))), np.inf, dtype=z.dtype)
+    neg[r, np.arange(flat.size) - np.repeat(starts, above)] = -sims.ravel()[flat]
+    best = np.argsort(neg, axis=1, kind="stable")[:, :k]
+    top = np.take_along_axis(neg, best, axis=1)
+    kept = top < np.inf
+    at = [flat[(starts[:, None] + best)[kept]]]
+    vals = [-top[kept]]
+
+    # rows with fewer than k entries above a positive tau take the
+    # lowest-index entries equal to tau; every group whose maximum is tau
+    # holds one, so there are enough. They are scanned in column windows
+    # that start at [0, 4k) and double in width while a row is short.
+    need = np.where(tau > 0, k - above, 0)
+    short = np.flatnonzero(need > 0)
+    lo, hi = 0, 4 * k
+    while short.size:
+        ties = sims[short, lo:hi] == tau[short, None]
+        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= need[short, None]
+        tr, tc = np.nonzero(ties)
+        at.append(short[tr] * n + lo + tc)
+        vals.append(tau[short[tr]])
+        need[short] -= np.count_nonzero(ties, axis=1)
+        short = short[need[short] > 0]
+        lo, hi = hi, hi + 2 * (hi - lo)
+    at = np.concatenate(at)
+    order = np.argsort(at)
+    at = at[order]
+    return (np.bincount(at // n, minlength=b), (at % n).astype(np.int32),
+            np.concatenate(vals, dtype=np.float64)[order])
 
 
 CG_TOL = 1e-6  # absolute residual norm that ends a class's conjugate-gradient solve
@@ -237,9 +279,12 @@ def propagate_labels(
     labels align with labeled_idx. Every class needs at least one labeled row.
     The graph search runs in the latents' dtype, the solve in float64; each
     class's solve stops once its residual norm is below CG_TOL and fails after
-    max_iter iterations.
+    max_iter iterations. The classes are solved on a thread pool with one
+    worker per CPU that the process may run on; each solve is the same
+    whichever thread runs it.
     """
     import scipy.sparse as sp
+    from concurrent.futures.thread import ThreadPoolExecutor
 
     n = latents.shape[0]
     labeled_idx = np.asarray(labeled_idx, dtype=np.int64)
@@ -269,14 +314,16 @@ def propagate_labels(
     def matvec(v):
         return v - alpha_diff * (s @ v)
 
-    z = np.empty_like(y)
-    for c in range(num_classes):
+    def solve(c: int) -> np.ndarray:
         try:
-            z[:, c] = _conjugate_gradient(matvec, y[:, c], max_iter)
+            return _conjugate_gradient(matvec, y[:, c], max_iter)
         except PropagationError as exc:
             raise PropagationError(
                 f"propagation over {n} rows, class {c} of {num_classes}: {exc}") from None
 
+    # the first failing class in class order is the one that raises
+    with ThreadPoolExecutor(_cpus()) as pool:
+        z = np.stack(list(pool.map(solve, range(num_classes))), axis=1)
     z = np.maximum(z, 0.0)
     row_sum = z.sum(axis=1, keepdims=True)
     probs = np.where(row_sum > 0, z / np.where(row_sum > 0, row_sum, 1.0),

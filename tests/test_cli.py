@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from progtab.cli import (
+    ResultsTable,
     SYNTHETIC_PRESETS,
     ablation_methods,
     emit_ratio_sweep,
@@ -209,6 +210,29 @@ class TestCsvOutputs:
         name, ratio, mean, std, n = rows[0]
         assert row == [name, repr(ratio), repr(mean), repr(std), str(n)]
         assert name == self.NAME
+
+
+def markdown_cells(row):
+    """The cells of a Markdown table row, read as GitHub does: a backslash
+    escapes the character after it, and an unescaped `|` ends a cell."""
+    cells = re.findall(r"\|((?:\\.|[^\\|])*)", row)[:-1]
+    return [re.sub(r"\\([\\|])", r"\1", c).strip() for c in cells]
+
+
+class TestMarkdownOutput:
+    CELL = {"formatted": "50.00% (±0.000)"}
+
+    @pytest.mark.parametrize("name", ["sup|b", "a\\|b", "x\\\\|", "|"])
+    def test_a_pipe_in_a_method_name_keeps_two_cells(self, name):
+        text = ResultsTable([name], {name: self.CELL}).to_markdown()
+        header, rule, row = text.splitlines()
+        assert len(markdown_cells(header)) == 2
+        assert markdown_cells(row) == [name, self.CELL["formatted"]]
+
+    def test_names_without_a_pipe_are_written_as_they_are(self):
+        names = ["sup a", "back\\slash", "sup-b"]
+        text = ResultsTable(names, {m: self.CELL for m in names}).to_markdown()
+        assert text.splitlines()[2:] == [f"| {m} | 50.00% (±0.000) |" for m in names]
 
 
 class TestAblationMatrix:

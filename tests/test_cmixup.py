@@ -147,9 +147,10 @@ def assert_matches_dense_reference(latents, k):
 
 
 class TestKnnAffinity:
-    # 3,000 rows take 1,398 rows per block: two full blocks and a short tail;
-    # k = 300 exceeds the 256 column groups, k = 39 takes all other rows, and
-    # identical rows take all k neighbours from the tie fill
+    # 3,000 rows take 1,398 rows per block on one worker and 699 on two: full
+    # blocks and a short tail; k = 300 exceeds the 256 column groups, k = 39
+    # takes all other rows, and identical rows take all k neighbours from the
+    # tie fill
     @pytest.mark.parametrize("n,k,identical", [
         pytest.param(3000, 10, False, id="3000-10"),
         pytest.param(40, 5, False, id="40-5"),
@@ -199,6 +200,54 @@ class TestKnnAffinity:
         near_tie = (np.abs(sims[i, j] - kth[i]) <= tol) | (np.abs(sims[i, j] - kth[j]) <= tol)
         assert near_tie.all()
         assert i.size <= 1e-4 * want.nnz
+
+
+class TestWorkerCount:
+    """The graph and the propagation are the same on any number of workers."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """Sets the worker count; 8,400 similarities make blocks of 14, 7
+        and 4 rows on one, two and three workers, so 600 rows span 43, 86
+        and 150 blocks, the last of them short on one and two workers."""
+        monkeypatch.setattr(cmixup, "_SIM_BLOCK_VALUES", 8400)
+        return lambda count: monkeypatch.setattr(cmixup, "_cpus", lambda: count)
+
+    @staticmethod
+    def latents(dtype):
+        # copies of one row tie at a positive similarity across blocks
+        latents = np.random.default_rng(4).normal(size=(600, 6))
+        copies = 50 + 37 * np.arange(12)
+        latents[copies] = latents[copies[0]]
+        return latents.astype(dtype)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_graph_matches_dense_reference(self, workers, count):
+        workers(count)
+        assert_matches_dense_reference(self.latents(np.float64), 10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_graph_is_bit_identical(self, workers, dtype):
+        graphs = []
+        for count in (1, 2):
+            workers(count)
+            graphs.append(_knn_affinity(self.latents(dtype), 10))
+        one, two = graphs
+        assert np.array_equal(one.indptr, two.indptr)
+        assert np.array_equal(one.indices, two.indices)
+        assert np.array_equal(one.data, two.data)
+
+    def test_propagation_is_bit_identical(self, workers):
+        pts, y = two_clusters(n=600, seed=3)
+        pts = pts.astype(np.float32)
+        seeds = np.array([0, 300])
+        results = []
+        for count in (1, 2):
+            workers(count)
+            results.append(propagate_labels(pts, seeds, y[seeds], 2, k=20))
+        one, two = results
+        assert np.array_equal(one.pseudo_label, two.pseudo_label)
+        assert np.array_equal(one.weight, two.weight)
 
 
 class TestPropagation:
