@@ -237,6 +237,18 @@ def _knn_block(z: np.ndarray, start: int, sims: np.ndarray, k: int,
             np.concatenate(vals, dtype=np.float64)[order])
 
 
+def _normalize(w: sp.csr_matrix) -> sp.csr_matrix:
+    """D^-1/2 W D^-1/2 for the graph w and its degrees D, computed in w's
+    data: each edge is scaled by its row's factor and then by its column's,
+    as in the product diags(f) @ w @ diags(f). A row without edges has
+    factor 0."""
+    deg = np.asarray(w.sum(axis=1)).ravel()
+    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
+    w.data *= np.repeat(inv_sqrt, np.diff(w.indptr))
+    w.data *= inv_sqrt[w.indices]
+    return w
+
+
 CG_TOL = 1e-6  # absolute residual norm that ends a class's conjugate-gradient solve
 
 
@@ -283,7 +295,6 @@ def propagate_labels(
     worker per CPU that the process may run on; each solve is the same
     whichever thread runs it.
     """
-    import scipy.sparse as sp
     from concurrent.futures.thread import ThreadPoolExecutor
 
     n = latents.shape[0]
@@ -305,11 +316,7 @@ def propagate_labels(
     y = np.zeros((n, num_classes))
     y[labeled_idx, labels] = 1.0
 
-    w = _knn_affinity(latents, k)
-    deg = np.asarray(w.sum(axis=1)).ravel()
-    inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0)
-    d_inv = sp.diags(inv_sqrt)
-    s = d_inv @ w @ d_inv
+    s = _normalize(_knn_affinity(latents, k))
 
     def matvec(v):
         return v - alpha_diff * (s @ v)

@@ -19,6 +19,13 @@ float64.
 
 Determinism: parameters are initialized from a seeded generator; forward and
 backward are pure ndarray arithmetic with fixed reduction order.
+
+In place: ``forward`` adds each bias into its layer's matmul result and
+applies the activation in that array, and ``backward`` multiplies the relu
+mask into a gradient it computed itself. Each writes only to arrays it
+allocated: never to the caller's input, ``grad_output``, or the activations
+of a ``Forward``. ``step`` runs Adam over blocks of the flat vectors, so its
+temporaries are block-sized, not parameter-sized.
 """
 
 from __future__ import annotations
@@ -138,7 +145,9 @@ class ModelGraph:
             raise NnError(f"input width {x.shape} does not match first layer {self.input_dim}")
         acts = [x]
         for layer in self.layers:
-            acts.append(_activate(layer.activation, acts[-1] @ layer.weight + layer.bias))
+            z = acts[-1] @ layer.weight
+            z += layer.bias
+            acts.append(_activate(layer.activation, z))
         return Forward(acts)
 
     def backward(self, fwd: "Forward", grad_output: np.ndarray,
@@ -151,17 +160,19 @@ class ModelGraph:
         not computed and None takes its place.
         """
         g = np.asarray(grad_output, dtype=self.params.dtype)
+        owned = not np.may_share_memory(g, grad_output)
         grads = np.empty_like(self.params)
         views = self._views(grads, self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             gw, gb = views[i]
-            gz = _activate_backward(layer.activation, fwd.acts[i + 1], g)
+            gz = _activate_backward(layer.activation, fwd.acts[i + 1], g, owned)
             np.matmul(fwd.acts[i].T, gz, out=gw)
             gz.sum(axis=0, out=gb)
             if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
                 raise GradientError(i, "non-finite gradient")
             g = gz @ layer.weight.T if i or input_grad else None
+            owned = True
         return grads, g
 
 
@@ -214,10 +225,13 @@ class Forward:
         return self.acts[-1]
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax."""
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, written into ``out`` (which may be z itself) or
+    into a new array."""
+    out = np.subtract(z, z.max(axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def softmax_backward(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -226,15 +240,19 @@ def softmax_backward(a: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _activate(kind: str, z: np.ndarray) -> np.ndarray:
+    """The activation of the pre-activation z, computed in z."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return z if kind == "identity" else softmax(z)
+        return np.maximum(z, 0.0, out=z)
+    return z if kind == "identity" else softmax(z, out=z)
 
 
-def _activate_backward(kind: str, a: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """dL/dz from dL/da and the activation a; relu's a > 0 is exactly z > 0."""
+def _activate_backward(kind: str, a: np.ndarray, grad: np.ndarray,
+                       owned: bool) -> np.ndarray:
+    """dL/dz from dL/da and the activation a; relu's a > 0 is exactly z > 0.
+    When ``owned``, grad is an array backward made, and relu's dL/dz is
+    written into it."""
     if kind == "relu":
-        return grad * (a > 0)
+        return np.multiply(grad, a > 0, out=grad if owned else None)
     return grad if kind == "identity" else softmax_backward(a, grad)
 
 
@@ -341,7 +359,8 @@ def loss_supcon(
 
     row_max = sims.max(axis=1, keepdims=True)
     exp = np.exp(sims - row_max)
-    log_denom = np.log(exp.sum(axis=1, keepdims=True)) + row_max
+    denom = exp.sum(axis=1, keepdims=True)
+    log_denom = np.log(denom) + row_max
     log_prob = sims - log_denom
     np.fill_diagonal(log_prob, 0.0)  # -inf there, and never a positive
 
@@ -350,7 +369,7 @@ def loss_supcon(
     loss = float(per_anchor.mean())
 
     # dL/ds_ij for anchor rows: softmax over non-self minus the positive mass
-    softmax = exp / exp.sum(axis=1, keepdims=True)
+    softmax = exp / denom
     g = np.zeros_like(sims)
     g[anchors] = softmax[anchors] - pos_mask[anchors] / n_pos[anchors, None].astype(z.dtype)
     g /= n_anchors
@@ -381,21 +400,41 @@ def make_optimizer(model: ModelGraph) -> OptimizerState:
     return OptimizerState(np.zeros_like(model.params), np.zeros_like(model.params))
 
 
+# entries of the flat vectors that one pass of step's Adam update covers
+ADAM_BLOCK = 1 << 15
+
+
 def step(optimizer: OptimizerState, model: ModelGraph, grads: np.ndarray) -> None:
-    """Apply one Adam update in place."""
+    """Apply one Adam update in place. ``grads`` is laid out like the
+    model's ``params`` and in their dtype.
+
+    The vectors are updated ADAM_BLOCK entries at a time through two
+    block-sized buffers; each entry goes through the same operations as in
+    the whole-vector update m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    p -= lr (m / c1) / (sqrt(v / c2) + eps)."""
     optimizer.step_count += 1
     t = optimizer.step_count
     correct1 = 1.0 - ADAM_BETA1**t
     correct2 = 1.0 - ADAM_BETA2**t
-    m, v = optimizer.m, optimizer.v
-    m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
-    v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads**2
-    # a statement of its own, so that no more than two parameter-sized
-    # temporaries are alive at once
-    denom = np.sqrt(v / correct2) + ADAM_EPS
-    model.params -= ADAM_LEARNING_RATE * (m / correct1) / denom
+    n = model.params.size
+    bufs = np.empty((2, min(n, ADAM_BLOCK)), dtype=model.params.dtype)
+    for lo in range(0, n, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, n)
+        g, m, v = grads[lo:hi], optimizer.m[lo:hi], optimizer.v[lo:hi]
+        a, b = bufs[0, :hi - lo], bufs[1, :hi - lo]
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        np.square(g, out=a)
+        a *= 1.0 - ADAM_BETA2
+        v += a
+        np.divide(v, correct2, out=a)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(m, correct1, out=b)
+        b *= ADAM_LEARNING_RATE
+        b /= a
+        model.params[lo:hi] -= b
 
 
 def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],

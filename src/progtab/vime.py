@@ -96,9 +96,13 @@ def corrupt(
     if b < 2:
         raise ValueError("corruption needs a batch of at least 2 rows")
     mask = rng.random((b, d)) < p_mask
-    offsets = rng.integers(1, b, size=(b, d))
-    donors = np.take_along_axis(x, (np.arange(b)[:, None] + offsets) % b, axis=0)
-    return np.where(mask, donors, x), mask
+    # entry (i, j) takes row (i + offset) mod b of its column: as a flat
+    # index, i * d + j + offset * d, less b * d where that passes the end
+    at = rng.integers(1, b, size=(b, d))
+    at *= d
+    at += np.arange(b * d).reshape(b, d)
+    at -= (b * d) * (at >= b * d)
+    return np.where(mask, x.take(at), x), mask
 
 
 def pretext_train(

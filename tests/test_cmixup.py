@@ -13,6 +13,7 @@ from progtab.cmixup import (
     PropagationError,
     _batch_losses,
     _knn_affinity,
+    _normalize,
     build_cmixup_model,
     classify,
     encoder_train,
@@ -248,6 +249,22 @@ class TestWorkerCount:
         one, two = results
         assert np.array_equal(one.pseudo_label, two.pseudo_label)
         assert np.array_equal(one.weight, two.weight)
+
+
+class TestNormalize:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_diagonal_product(self, dtype):
+        latents = np.random.default_rng(6).normal(size=(900, 5)).astype(dtype)
+        latents[[3, 500]] = 0.0  # rows without edges: degree 0, factor 0
+        w = _knn_affinity(latents, 12)
+        deg = np.asarray(w.sum(axis=1)).ravel()
+        assert (deg == 0).sum() == 2
+        d = sp.diags(np.where(deg > 0, 1.0 / np.sqrt(np.where(deg > 0, deg, 1.0)), 0.0))
+        want = d @ w @ d
+        got = _normalize(w)
+        for a in ("indptr", "indices", "data"):
+            g, e = getattr(got, a), getattr(want, a)
+            assert g.dtype == e.dtype and np.array_equal(g, e), a
 
 
 class TestPropagation:

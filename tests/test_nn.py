@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from progtab import cmixup, vime
 from progtab.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
+    ADAM_EPS,
     ADAM_LEARNING_RATE,
     DenseLayer,
     gradcheck_cases,
@@ -506,3 +512,113 @@ class TestPrecision:
         assert ModelGraph.mlp(3, (4,), 2, "softmax", seed=0).params.dtype == np.float64
         for name, model, _ in gradcheck_cases():
             assert model.params.dtype == np.float64, name
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_forward(model, x):
+    """Every layer as one whole expression, each step a new array."""
+    acts = [np.asarray(x, dtype=model.params.dtype)]
+    for layer in model.layers:
+        z = acts[-1] @ layer.weight + layer.bias
+        if layer.activation == "relu":
+            z = np.maximum(z, 0.0)
+        elif layer.activation == "softmax":
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            z = e / e.sum(axis=1, keepdims=True)
+        acts.append(z)
+    return acts
+
+
+def reference_backward(model, acts, grad_output, input_grad):
+    g = np.asarray(grad_output, dtype=model.params.dtype)
+    grads = []
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer, a = model.layers[i], acts[i + 1]
+        if layer.activation == "relu":
+            gz = g * (a > 0)
+        elif layer.activation == "softmax":
+            gz = a * (g - (g * a).sum(axis=1, keepdims=True))
+        else:
+            gz = g
+        grads = [(acts[i].T @ gz).ravel(), gz.sum(axis=0)] + grads
+        g = gz @ layer.weight.T if i or input_grad else None
+    return np.concatenate(grads), g
+
+
+def reference_adam(params, m, v, grads, t):
+    """One whole-vector Adam step in place."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads**2
+    denom = np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
+    params -= ADAM_LEARNING_RATE * (m / (1.0 - ADAM_BETA1**t)) / denom
+
+
+class TestInPlace:
+    """forward, backward and step compute in place, with the bits of the
+    whole-expression arithmetic."""
+
+    @staticmethod
+    def model(dtype, output_activation):
+        """6 -> 9 (relu) -> 7 (identity) -> 4 (output_activation)."""
+        first, second, last = ModelGraph.mlp(6, (9, 7), 4, output_activation, seed=8,
+                                             dtype=dtype).layers
+        return ModelGraph([first, DenseLayer(second.weight, second.bias, "identity"), last])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ["relu", "identity", "softmax"])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("grad_dtype", ["model", "float64"])
+    def test_forward_and_backward_match_whole_expressions(self, dtype, activation,
+                                                          input_grad, grad_dtype):
+        model = self.model(dtype, activation)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 6)).astype(dtype)
+        x[:, 2] = 0.0  # a dead input column
+        g = rng.normal(size=(40, 4)).astype(dtype if grad_dtype == "model" else np.float64)
+        x_before, g_before = x.copy(), g.copy()
+
+        fwd = model.forward(x)
+        want_acts = reference_forward(model, x)
+        assert all(same_bits(a, b) for a, b in zip(fwd.acts, want_acts))
+        acts_before = [a.copy() for a in fwd.acts]
+        grads, grad_in = model.backward(fwd, g, input_grad=input_grad)
+        want_grads, want_in = reference_backward(model, want_acts, g, input_grad)
+        assert same_bits(grads, want_grads)
+        assert same_bits(grad_in, want_in) if input_grad else grad_in is None
+
+        # neither call wrote to the caller's arrays or to the activations
+        assert same_bits(x, x_before) and same_bits(g, g_before)
+        assert all(same_bits(a, b) for a, b in zip(fwd.acts, acts_before))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_step_matches_whole_vector_adam(self, dtype):
+        model = ModelGraph.mlp(300, (), 200, "identity", seed=2, dtype=dtype)
+        assert model.params.size > ADAM_BLOCK and model.params.size % ADAM_BLOCK
+        params = model.params.copy()
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        opt = make_optimizer(model)
+        rng = np.random.default_rng(5)
+        for t in range(1, 6):
+            g = (rng.normal(size=params.size) * 10.0 ** rng.integers(-6, 3)).astype(dtype)
+            g[rng.random(params.size) < 0.2] = 0.0
+            step(opt, model, g)
+            reference_adam(params, m, v, g, t)
+            assert same_bits(model.params, params)
+            assert same_bits(opt.m, m) and same_bits(opt.v, v)
+
+    def test_forward_allocates_only_its_activations(self):
+        model = ModelGraph.mlp(32, (256, 128), 4, "softmax", seed=1, dtype=np.float32)
+        x = np.random.default_rng(2).normal(size=(4096, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            fwd = model.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        activations = sum(a.nbytes for a in fwd.acts[1:])
+        assert peak <= 1.1 * activations
