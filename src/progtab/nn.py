@@ -20,6 +20,17 @@ float64.
 Determinism: parameters are initialized from a seeded generator; forward and
 backward are pure ndarray arithmetic with fixed reduction order.
 
+Active columns: ``forward`` finds the input's active columns, those with any
+nonzero entry. When at most half are active, as in a batch of one-hot rows,
+the first layer casts only those columns to the model's dtype and multiplies
+them by their weight rows, and the ``Forward`` records them in ``cols``;
+``backward`` then writes the first layer's weight gradient for those rows and
+exact zeros elsewhere. That weight gradient, the bias and input gradients and
+every later layer's arithmetic keep the dense product's bits; only the
+forward's rounding moves, because the shorter sums split into blocks
+elsewhere. An input with more than half its columns active, such as any CPR,
+target-encoded or latent matrix, computes as a dense product, bit for bit.
+
 In place: ``forward`` adds each bias into its layer's matmul result and
 applies the activation in that array, and ``backward`` multiplies the relu
 mask into a gradient it computed itself. Each writes only to arrays it
@@ -140,15 +151,25 @@ class ModelGraph:
         return ModelGraph(self.layers)
 
     def forward(self, inputs: np.ndarray) -> "Forward":
-        x = np.asarray(inputs, dtype=self.params.dtype)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise NnError(f"input width {x.shape} does not match first layer {self.input_dim}")
+        x = np.asarray(inputs)
+        if x.ndim != 2:
+            raise NnError(f"input has ndim {x.ndim}, not 2")
+        if x.shape[1] != self.input_dim:
+            raise NnError(f"input width {x.shape[1]} does not match first layer {self.input_dim}")
+        # a first row with more than half its entries nonzero settles it
+        # without the scan, which is most of a small dense batch's overhead
+        half = x.shape[1] / 2
+        cols = np.flatnonzero(x.any(axis=0)) if np.count_nonzero(x[:1]) <= half else None
+        if cols is None or cols.size > half:
+            cols, x = None, np.asarray(x, dtype=self.params.dtype)
+        else:
+            x = _gather_columns(x, cols, self.params.dtype)
         acts = [x]
-        for layer in self.layers:
-            z = acts[-1] @ layer.weight
+        for i, layer in enumerate(self.layers):
+            z = acts[-1] @ (layer.weight if i or cols is None else layer.weight[cols])
             z += layer.bias
             acts.append(_activate(layer.activation, z))
-        return Forward(acts)
+        return Forward(acts, cols)
 
     def backward(self, fwd: "Forward", grad_output: np.ndarray,
                  input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -167,9 +188,13 @@ class ModelGraph:
             layer = self.layers[i]
             gw, gb = views[i]
             gz = _activate_backward(layer.activation, fwd.acts[i + 1], g, owned)
-            np.matmul(fwd.acts[i].T, gz, out=gw)
+            if i or fwd.cols is None:
+                live = np.matmul(fwd.acts[i].T, gz, out=gw)
+            else:  # the rows of inactive columns are exact zeros
+                gw.fill(0.0)
+                live = gw[fwd.cols] = fwd.acts[0].T @ gz
             gz.sum(axis=0, out=gb)
-            if not (np.isfinite(gw).all() and np.isfinite(gb).all()):
+            if not (np.isfinite(live).all() and np.isfinite(gb).all()):
                 raise GradientError(i, "non-finite gradient")
             g = gz @ layer.weight.T if i or input_grad else None
             owned = True
@@ -219,10 +244,25 @@ class HeadedEncoder:
 @dataclass
 class Forward:
     acts: list[np.ndarray]  # acts[0] is the input, acts[-1] the output
+    # the input's active columns when acts[0] holds only those, else None
+    cols: np.ndarray | None = None
 
     @property
     def output(self) -> np.ndarray:
         return self.acts[-1]
+
+
+# input rows that _gather_columns casts at a time
+GATHER_ROWS = 256
+
+
+def _gather_columns(x: np.ndarray, cols: np.ndarray, dtype) -> np.ndarray:
+    """x[:, cols] in ``dtype``, gathered GATHER_ROWS rows at a time, so no
+    temporary in x's dtype is larger than one block of rows."""
+    out = np.empty((x.shape[0], cols.size), dtype=dtype)
+    for lo in range(0, x.shape[0], GATHER_ROWS):
+        out[lo:lo + GATHER_ROWS] = x[lo:lo + GATHER_ROWS, cols]
+    return out
 
 
 def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -268,8 +308,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def loss_crossentropy(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-probability of the true class, p clamped at 1e-12."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.size and labels.max() >= probs.shape[1]:
-        raise NnError("label >= number of classes")
+    if labels.size and not 0 <= labels.min() <= labels.max() < probs.shape[1]:
+        raise NnError(f"labels must lie in [0, {probs.shape[1]}), "
+                      f"got [{labels.min()}, {labels.max()}]")
     b = probs.shape[0]
     picked = probs[np.arange(b), labels]
     clamped = np.maximum(picked, LOG_CLAMP)
@@ -504,9 +545,12 @@ def gradcheck(model: ModelGraph, loss_fn, epsilon: float = 1e-5) -> GradCheckRep
 
 
 def gradcheck_cases():
-    """One (name, model, loss_fn) case per loss in the module, on fixed small
-    models whose relu pre-activations sit away from kinks at the default FD
-    step. loss_fn(model) -> (loss, flat gradient); suitable for gradcheck()."""
+    """One (name, model, loss_fn) case per loss in the module, and a
+    ``sparse_input`` case whose input has two one-hot blocks and two numeric
+    columns, so forward takes its active-column path. The models are fixed
+    and small, and their relu pre-activations sit away from kinks at the
+    default FD step. loss_fn(model) -> (loss, flat gradient); suitable for
+    gradcheck()."""
     batch, dim = 6, 5
     rng = np.random.default_rng(42)
     x = rng.normal(size=(batch, dim))
@@ -515,6 +559,10 @@ def gradcheck_cases():
     mask = (rng.random((batch, dim)) < 0.4).astype(float)
     xk = rng.normal(size=(3, batch, dim))
     labels = np.array([0, 0, 1, 1, 0, 1])
+    # 34 columns, at most 6 + 6 + 2 of them active: under half
+    sparse = np.zeros((batch, 34))
+    sparse[np.arange(batch)[:, None], [0, 16] + rng.integers(0, 16, size=(batch, 2))] = 1.0
+    sparse[:, 32:] = rng.normal(size=(batch, 2))
 
     def cons_fn(m):
         """The K copies share one forward and one backward, as in training."""
@@ -523,10 +571,10 @@ def gradcheck_cases():
         grads, _ = m.backward(fwd, g.reshape(fwd.output.shape))
         return loss, grads
 
-    def chained(loss):
-        """loss_fn(model) on x for loss(output) -> (value, dL/d(output))."""
+    def chained(loss, inputs=x):
+        """loss_fn(model) on inputs for loss(output) -> (value, dL/d(output))."""
         def fn(m):
-            fwd = m.forward(x)
+            fwd = m.forward(inputs)
             value, g = loss(fwd.output)
             grads, _ = m.backward(fwd, g)
             return value, grads
@@ -545,4 +593,6 @@ def gradcheck_cases():
          chained(lambda logits: loss_mask_bce(logits, mask))),
         ("consistency", ModelGraph.mlp(dim, (6,), 3, "softmax", seed=6), cons_fn),
         ("supcon", ModelGraph.mlp(dim, (8,), 4, "identity", seed=17), chained(supcon)),
+        ("sparse_input", ModelGraph.mlp(34, (7,), 3, "softmax", seed=21),
+         chained(lambda p: loss_crossentropy(p, y), sparse)),
     ]

@@ -56,8 +56,10 @@ class TestForward:
 
     def test_shape_mismatch(self):
         model = ModelGraph.mlp(4, (), 2, "identity", seed=0)
-        with pytest.raises(NnError):
+        with pytest.raises(NnError, match=r"^input width 5 does not match first layer 4$"):
             model.forward(np.zeros((3, 5)))
+        with pytest.raises(NnError, match=r"^input has ndim 1, not 2$"):
+            model.forward(np.zeros(4))
 
     def test_sigmoid_is_not_a_layer_activation(self):
         with pytest.raises(NnError):
@@ -124,6 +126,11 @@ class TestLossValues:
         probs = np.full((4, 5), 0.2)
         loss, _ = loss_crossentropy(probs, np.array([0, 1, 2, 3]))
         assert loss == pytest.approx(np.log(5))
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_ce_rejects_labels_outside_the_classes(self, label):
+        with pytest.raises(NnError, match=r"labels must lie in \[0, 2\)"):
+            loss_crossentropy(np.full((2, 2), 0.5), np.array([0, label]))
 
     def test_ce_frozen_value(self):
         # oracle: -ln 0.7 = 0.35667494...
@@ -508,6 +515,18 @@ class TestPrecision:
             assert np.shares_memory(layer.weight, model.params)
         assert model.copy().params.dtype == np.float32
 
+    def test_sparse_input_case_takes_the_active_column_path(self, monkeypatch):
+        [(_, model, fn)] = [c for c in gradcheck_cases() if c[0] == "sparse_input"]
+        seen, forward = [], ModelGraph.forward
+
+        def spy(self, inputs):
+            seen.append(forward(self, inputs).cols)
+            return forward(self, inputs)
+
+        monkeypatch.setattr(ModelGraph, "forward", spy)
+        fn(model)
+        assert seen[0] is not None and 2 * seen[0].size <= model.input_dim
+
     def test_gradcheck_models_are_float64(self):
         assert ModelGraph.mlp(3, (4,), 2, "softmax", seed=0).params.dtype == np.float64
         for name, model, _ in gradcheck_cases():
@@ -622,3 +641,81 @@ class TestInPlace:
             tracemalloc.stop()
         activations = sum(a.nbytes for a in fwd.acts[1:])
         assert peak <= 1.1 * activations
+
+
+def one_hot_like(rng, rows, widths):
+    """float64 rows of one one-hot block per width, then two numeric columns."""
+    x = np.zeros((rows, sum(widths) + 2))
+    starts = np.cumsum([0, *widths[:-1]])
+    x[np.arange(rows)[:, None], starts + rng.integers(0, widths, size=(rows, len(widths)))] = 1.0
+    x[:, -2:] = rng.normal(size=(rows, 2))
+    return x
+
+
+class TestActiveColumns:
+    """A first layer whose input has at most half its columns active reads
+    only those columns: its weight gradient keeps the dense product's bits,
+    and only the forward's rounding moves."""
+
+    @staticmethod
+    def model(dtype, width):
+        return ModelGraph.mlp(width, (9,), 4, "softmax", seed=8, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_keep_the_bits_and_the_forward_its_tolerance(self, dtype):
+        rng = np.random.default_rng(3)
+        x = one_hot_like(rng, 20, (60, 40))
+        model = self.model(dtype, x.shape[1])
+        g = rng.normal(size=(20, 4)).astype(dtype)
+        x_before, g_before = x.copy(), g.copy()
+
+        fwd = model.forward(x)
+        active = np.flatnonzero(x.any(axis=0))
+        assert fwd.cols is not None and np.array_equal(fwd.cols, active)
+        want_acts = reference_forward(model, x)
+        assert same_bits(fwd.acts[0], want_acts[0][:, active])
+        for a, b in zip(fwd.acts[1:], want_acts[1:]):
+            assert np.abs(a - b).max() <= TestPrecision.TOL * np.abs(b).max()
+
+        acts_before = [a.copy() for a in fwd.acts]
+        grads, grad_in = model.backward(fwd, g)
+        # the reference on the same activations, with the input at full width
+        want_grads, want_in = reference_backward(model, [want_acts[0], *fwd.acts[1:]], g, True)
+        assert same_bits(grads, want_grads) and same_bits(grad_in, want_in)
+        inactive = np.setdiff1d(np.arange(x.shape[1]), active)
+        assert not model._views(grads, model.layers)[0][0][inactive].any()
+
+        assert same_bits(x, x_before) and same_bits(g, g_before)
+        assert all(same_bits(a, b) for a, b in zip(fwd.acts, acts_before))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_more_than_half_active_keeps_the_dense_bits(self, dtype):
+        rng = np.random.default_rng(4)
+        x = one_hot_like(rng, 20, (60, 40))
+        model = self.model(dtype, x.shape[1])
+        g = rng.normal(size=(20, 4))
+        inactive = np.flatnonzero(~x.any(axis=0))
+        half = x.shape[1] // 2
+        x[0, inactive[:half - (x.shape[1] - inactive.size)]] = 0.5
+        assert model.forward(x).cols.size == half  # at most half: still gathered
+        x[1, inactive[-1]] = 0.5
+
+        fwd = model.forward(x)
+        assert fwd.cols is None
+        want_acts = reference_forward(model, x)
+        assert all(same_bits(a, b) for a, b in zip(fwd.acts, want_acts))
+        grads, grad_in = model.backward(fwd, g)
+        want_grads, want_in = reference_backward(model, want_acts, g, True)
+        assert same_bits(grads, want_grads) and same_bits(grad_in, want_in)
+
+    def test_forward_makes_no_full_width_copy(self):
+        x = one_hot_like(np.random.default_rng(5), 1200, (2000, 2000))
+        model = self.model(np.float32, x.shape[1])
+        tracemalloc.start()
+        try:
+            fwd = model.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fwd.cols is not None
+        assert peak < x.size * np.dtype(np.float32).itemsize
