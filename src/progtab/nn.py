@@ -21,7 +21,8 @@ Determinism: parameters are initialized from a seeded generator; forward and
 backward are pure ndarray arithmetic with fixed reduction order.
 
 Active columns: ``forward`` finds the input's active columns, those with any
-nonzero entry. When at most half are active, as in a batch of one-hot rows,
+nonzero entry, unless its first row alone has more than half its entries
+nonzero. When at most half are active, as in a batch of one-hot rows,
 the first layer casts only those columns to the model's dtype and multiplies
 them by their weight rows, and the ``Forward`` records them in ``cols``;
 ``backward`` then writes the first layer's weight gradient for those rows and
@@ -156,8 +157,8 @@ class ModelGraph:
             raise NnError(f"input has ndim {x.ndim}, not 2")
         if x.shape[1] != self.input_dim:
             raise NnError(f"input width {x.shape[1]} does not match first layer {self.input_dim}")
-        # a first row with more than half its entries nonzero settles it
-        # without the scan, which is most of a small dense batch's overhead
+        # a first row with more than half its entries nonzero already rules
+        # the path out, and spares a dense batch the column scan
         half = x.shape[1] / 2
         cols = np.flatnonzero(x.any(axis=0)) if np.count_nonzero(x[:1]) <= half else None
         if cols is None or cols.size > half:

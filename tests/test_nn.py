@@ -252,6 +252,19 @@ class TestGradcheck:
         report = gradcheck(model.copy(), fn, epsilon=1e-5)
         assert report.max_rel_err < 1e-4
 
+    def test_sparse_input_case_takes_the_active_column_path(self, monkeypatch):
+        [(_, model, fn)] = [c for c in gradcheck_cases() if c[0] == "sparse_input"]
+        seen, forward = [], ModelGraph.forward
+
+        def spy(self, inputs):
+            fwd = forward(self, inputs)
+            seen.append(fwd.cols)
+            return fwd
+
+        monkeypatch.setattr(ModelGraph, "forward", spy)
+        fn(model)
+        assert seen[0] is not None and 2 * seen[0].size <= model.input_dim
+
     def test_linear_mse_is_exact(self):
         # quadratic loss: central differences are exact up to roundoff
         rng = np.random.default_rng(8)
@@ -514,18 +527,6 @@ class TestPrecision:
             assert layer.weight.dtype == layer.bias.dtype == np.float32
             assert np.shares_memory(layer.weight, model.params)
         assert model.copy().params.dtype == np.float32
-
-    def test_sparse_input_case_takes_the_active_column_path(self, monkeypatch):
-        [(_, model, fn)] = [c for c in gradcheck_cases() if c[0] == "sparse_input"]
-        seen, forward = [], ModelGraph.forward
-
-        def spy(self, inputs):
-            seen.append(forward(self, inputs).cols)
-            return forward(self, inputs)
-
-        monkeypatch.setattr(ModelGraph, "forward", spy)
-        fn(model)
-        assert seen[0] is not None and 2 * seen[0].size <= model.input_dim
 
     def test_gradcheck_models_are_float64(self):
         assert ModelGraph.mlp(3, (4,), 2, "softmax", seed=0).params.dtype == np.float64
