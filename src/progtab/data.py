@@ -71,6 +71,10 @@ class TabularDataset:
         for m, col in enumerate(self.schema):
             if col.kind == "categorical" and rows.shape[0]:
                 cells = rows[:, m]
+                # NaN compares False with every bound, so test it first
+                if not (np.isfinite(cells) & (cells == np.trunc(cells))).all():
+                    raise DataError(f"column {col.name!r}: non-finite or fractional cell; "
+                                    "categorical cells are category indices")
                 if cells.min() < 0 or cells.max() >= col.cardinality:
                     raise DataError(f"column {col.name!r}: cell index outside domain")
 
@@ -142,7 +146,7 @@ class SyntheticSpec:
             raise DataError("need at least one feature column")
         if self.n_cat_cols > 0 and self.cardinality < self.n_classes:
             raise DataError("cardinality must be >= n_classes")
-        if self.signal_strength < 0:
+        if not self.signal_strength >= 0:  # NaN fails too
             raise DataError("signal_strength must be >= 0")
 
 

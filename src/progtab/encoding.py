@@ -8,6 +8,7 @@ probabilities on read, so incremental updates and refits agree exactly.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,10 @@ from .data import TabularDataset
 
 class EncodingError(ValueError):
     pass
+
+
+# numpy advises transparent huge pages for arrays of this size and larger
+HUGE_PAGE_ADVICE_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -167,12 +172,38 @@ def label_encoding(ds: TabularDataset) -> LabelEncoding:
     return LabelEncoding(tuple(ds.schema[m].name for m in ds.categorical_columns()))
 
 
+def _zeros(shape: tuple[int, int]) -> np.ndarray:
+    """A zero float64 matrix whose memory is backed only where it is written.
+
+    Below ``HUGE_PAGE_ADVICE_BYTES`` this is ``np.zeros``. From there on numpy
+    would advise transparent huge pages, so one write per 2 MiB region makes
+    the whole region resident: a one-hot matrix, one 1.0 per block row, would
+    then cost its full nominal size. Such a matrix is instead a private
+    anonymous mapping advised against huge pages, in which every page that is
+    never written reads as the kernel's shared zero page. The mapping is freed
+    with the last view of the matrix.
+    """
+    nbytes = shape[0] * shape[1] * np.dtype(np.float64).itemsize
+    if nbytes < HUGE_PAGE_ADVICE_BYTES:
+        return np.zeros(shape)
+    buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.ndarray(shape, np.float64, buffer=buffer)
+
+
 def encode(ds: TabularDataset, rows: np.ndarray, tables) -> EncodedMatrix:
     """Assemble the dense design matrix for the given rows.
 
     Numeric columns pass through (scale beforehand); each categorical cell is
     replaced by its block per the table, written in place into one matrix.
     Column order follows the schema.
+
+    The matrix is a writable, C-contiguous float64 array. From 4 MiB
+    (``HUGE_PAGE_ADVICE_BYTES``, where numpy advises transparent huge pages)
+    it lives in an anonymous mapping without huge pages, so pages that no
+    block writes, such as most of a one-hot matrix, occupy no memory; smaller
+    matrices come from ``np.zeros``. The values are the same either way.
     """
     rows = np.asarray(rows, dtype=np.int64)
     widths = tables.block_widths()
@@ -184,7 +215,7 @@ def encode(ds: TabularDataset, rows: np.ndarray, tables) -> EncodedMatrix:
         width = widths[col.name] if col.kind == "categorical" else 1
         spans.append((start, start + width))
         start += width
-    matrix = np.zeros((rows.size, start))
+    matrix = _zeros((rows.size, start))
     for m, (col, (lo, hi)) in enumerate(zip(ds.schema, spans)):
         if col.kind == "categorical":
             cells = ds.rows[rows, m].astype(np.int64)

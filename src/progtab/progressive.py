@@ -126,7 +126,7 @@ class RunConfig:
             problems.append("hidden layer widths must be >= 1")
         if self.encoding == "target" and not self.te_smoothing > 0:
             problems.append("te_smoothing must be > 0")
-        if self.beta_consistency < 0:
+        if not self.beta_consistency >= 0:  # NaN fails too
             problems.append("beta_consistency must be >= 0")
         elif self.beta_consistency > 0 and self.k_corruptions < 2:
             problems.append("beta_consistency > 0 needs k_corruptions >= 2")
