@@ -173,18 +173,10 @@ def label_encoding(ds: TabularDataset) -> LabelEncoding:
 
 
 def _zeros(shape: tuple[int, int]) -> np.ndarray:
-    """A zero float64 matrix whose memory is backed only where it is written.
-
-    Below ``HUGE_PAGE_ADVICE_BYTES`` this is ``np.zeros``. From there on numpy
-    would advise transparent huge pages, so one write per 2 MiB region makes
-    the whole region resident: a one-hot matrix, one 1.0 per block row, would
-    then cost its full nominal size. Such a matrix is instead a private
-    anonymous mapping advised against huge pages, in which every page that is
-    never written reads as the kernel's shared zero page. The mapping is freed
-    with the last view of the matrix.
-    """
-    nbytes = shape[0] * shape[1] * np.dtype(np.float64).itemsize
+    """A zero float64 matrix, allocated as ``encode`` documents."""
+    nbytes = 8 * shape[0] * shape[1]
     if nbytes < HUGE_PAGE_ADVICE_BYTES:
+        # a mapping here would only add its own overhead to small matrices
         return np.zeros(shape)
     buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
@@ -199,11 +191,15 @@ def encode(ds: TabularDataset, rows: np.ndarray, tables) -> EncodedMatrix:
     replaced by its block per the table, written in place into one matrix.
     Column order follows the schema.
 
-    The matrix is a writable, C-contiguous float64 array. From 4 MiB
-    (``HUGE_PAGE_ADVICE_BYTES``, where numpy advises transparent huge pages)
-    it lives in an anonymous mapping without huge pages, so pages that no
-    block writes, such as most of a one-hot matrix, occupy no memory; smaller
-    matrices come from ``np.zeros``. The values are the same either way.
+    The matrix is a writable, C-contiguous float64 array, and its values do
+    not depend on how it is allocated. Below ``HUGE_PAGE_ADVICE_BYTES``
+    (4 MiB) it comes from ``np.zeros``. From there on numpy would advise
+    transparent huge pages, and one write per 2 MiB region would make the
+    whole region resident: a one-hot matrix, with one 1.0 per block and row,
+    would cost its full nominal size. So a larger matrix is a private
+    anonymous mapping advised against huge pages; a page that no block
+    writes reads as the kernel's shared zero page and occupies no memory.
+    The mapping is freed with the last view of the matrix.
     """
     rows = np.asarray(rows, dtype=np.int64)
     widths = tables.block_widths()

@@ -93,6 +93,22 @@ class TestConfigParsing:
         assert cfg.methods[0].predictor_hidden == (16,)
         assert cfg.methods[0].n_runs is None
 
+    @pytest.mark.parametrize("beta", ["-1", "NaN"])
+    def test_negative_or_nan_beta_rejected(self, tmp_path, beta):
+        # Python's json reads NaN, which fails no "< 0" test
+        text = json.dumps(tiny_payload(tmp_path, [
+            {"preset": "vime_semi", "overrides": {"beta_consistency": 0.5}}]))
+        payload = json.loads(text.replace('"beta_consistency": 0.5', f'"beta_consistency": {beta}'))
+        with pytest.raises(ConfigError, match="beta_consistency must be >= 0"):
+            parse_experiment_config(payload)
+
+    @pytest.mark.parametrize("strength", ["-1", "NaN"])
+    def test_negative_or_nan_signal_strength_rejected(self, tmp_path, strength):
+        text = json.dumps(tiny_payload(tmp_path, [{"preset": "supervised"}]))
+        payload = json.loads(text.replace('"signal_strength": 1.2', f'"signal_strength": {strength}'))
+        with pytest.raises(ConfigError, match="synthetic spec: signal_strength must be >= 0"):
+            parse_experiment_config(payload)
+
     def test_unknown_split_key_rejected(self, tmp_path):
         payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
         payload["split"]["bogus"] = 1

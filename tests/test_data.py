@@ -133,6 +133,14 @@ class TestTabularDataset:
         with pytest.raises(DataError, match=re.escape("repeated column names ['a']")):
             TabularDataset(schema, np.zeros((2, 2)), None, 0)
 
+    @pytest.mark.parametrize("cell", [np.nan, 1.5, np.inf, -np.inf])
+    def test_categorical_cell_must_be_an_index(self, cell):
+        # NaN passes a range check, and 1.5 would be truncated to category 1
+        schema = (ColumnSchema("n", "numerical"), ColumnSchema("c", "categorical", 3, tuple("abc")))
+        rows = np.array([[0.5, 0.0], [1.5, cell], [2.5, 2.0]])
+        with pytest.raises(DataError, match="column 'c': non-finite or fractional cell"):
+            TabularDataset(schema, rows, np.array([0, 1, 0]), 2)
+
 
 class TestScaler:
     def test_mean_std_simple(self):
@@ -286,6 +294,11 @@ class TestSynthesize:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(DataError):
             SyntheticSpec(100, 1, 2, 0, 4, 1.0, 0)  # cardinality < n_classes
+
+    @pytest.mark.parametrize("strength", [-1.0, float("nan")])
+    def test_signal_strength_must_be_non_negative(self, strength):
+        with pytest.raises(DataError, match="signal_strength must be >= 0"):
+            SyntheticSpec(100, 1, 5, 0, 4, strength, 0)
 
 
 class TestDropColumns:

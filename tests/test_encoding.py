@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import progtab
 from progtab.data import ColumnSchema, SyntheticSpec, TabularDataset, synthesize_dataset
 from progtab.encoding import (
+    HUGE_PAGE_ADVICE_BYTES,
     CountTable,
     EncodingError,
     encode,
@@ -210,6 +217,97 @@ class TestEncode:
                 part = em.matrix[:, lo:hi]
                 assert np.isin(part, (0.0, 1.0)).all()
                 assert (part.sum(axis=1) == 1.0).all()
+
+
+def zeros_reference(ds, rows, table, blocks):
+    """The encoded matrix built on ``np.zeros``, block by block."""
+    out = np.zeros((rows.size, max(hi for _, hi in blocks.values())))
+    for m, col in enumerate(ds.schema):
+        lo, hi = blocks[col.name]
+        if col.kind == "categorical":
+            table.write_block(col.name, ds.rows[rows, m].astype(np.int64), out[:, lo:hi])
+        else:
+            out[:, lo] = ds.rows[rows, m]
+    return out
+
+
+class TestEncodeAllocation:
+    """Matrices of HUGE_PAGE_ADVICE_BYTES and more live in an anonymous
+    mapping without huge pages; the values never depend on that."""
+
+    @pytest.fixture(scope="class")
+    def wide_ds(self):
+        # 1,201 one-hot columns, 9 CPR and target columns and 3 label columns:
+        # enough rows to place every encoding on both sides of the threshold
+        rng = np.random.default_rng(3)
+        n, k, num_classes = 180_000, 600, 4
+        schema = (ColumnSchema("c1", "categorical", k, tuple(f"v{i}" for i in range(k))),
+                  ColumnSchema("x", "numerical"),
+                  ColumnSchema("c2", "categorical", k, tuple(f"w{i}" for i in range(k))))
+        rows = np.column_stack([rng.integers(0, k, n), rng.normal(size=n),
+                                rng.integers(0, k, n)])
+        return TabularDataset(schema, rows, rng.integers(0, num_classes, n), num_classes)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("kind", ["cpr", "target", "onehot", "label"])
+    def test_bit_identical_to_zeros_reference(self, wide_ds, kind, side):
+        fit_rows = np.arange(5_000)
+        y = wide_ds.labels[fit_rows]
+        table = {"cpr": lambda: fit_cpr(wide_ds, fit_rows, y),
+                 "target": lambda: fit_target_encoding(wide_ds, fit_rows, y),
+                 "onehot": lambda: one_hot_encoding(wide_ds),
+                 "label": lambda: label_encoding(wide_ds)}[kind]()
+        width = 1 + sum(table.block_widths().values())
+        n = HUGE_PAGE_ADVICE_BYTES // (8 * width) + (1 if side == "above" else -1)
+        rows = np.random.default_rng(5).permutation(wide_ds.n_rows)[:n]
+        em = encode(wide_ds, rows, table)
+        assert em.matrix.shape == (n, width)
+        assert (em.matrix.nbytes >= HUGE_PAGE_ADVICE_BYTES) == (side == "above")
+        # np.zeros owns its memory; the mapping is the array's base
+        assert em.matrix.flags.owndata == (side == "below")
+        expected = zeros_reference(wide_ds, rows, table, em.blocks)
+        assert em.matrix.tobytes() == expected.tobytes()
+
+    def test_mapped_matrix_is_an_ordinary_array(self, wide_ds):
+        rows = np.arange(1_000)
+        matrix = encode(wide_ds, rows, one_hot_encoding(wide_ds)).matrix
+        assert matrix.nbytes >= HUGE_PAGE_ADVICE_BYTES and not matrix.flags.owndata
+        assert matrix.dtype == np.float64
+        assert matrix.flags.c_contiguous and matrix.flags.writeable
+        matrix[0, 0] = 2.5
+        assert matrix[0, 0] == 2.5
+        parts = np.split(matrix, [100, 700])
+        assert all(p.base is matrix for p in parts)
+        assert parts[0].base.ndim == 2 and parts[0].base.shape == matrix.shape
+        assert np.array_equal(np.concatenate(parts), matrix)
+
+    def test_one_hot_memory_is_the_touched_pages(self):
+        # 6,000 x 10,002 float64 is 458 MiB nominal; each row writes two ones
+        # into its 80 KB, so about three 4 KiB pages per row are touched
+        script = """
+import resource
+import numpy as np
+from progtab.data import ColumnSchema, TabularDataset
+from progtab.encoding import encode, one_hot_encoding
+rng = np.random.default_rng(0)
+n, k = 6000, 5000
+schema = tuple(ColumnSchema(f"c{j}", "categorical", k, tuple(range(k))) for j in range(2)) + (
+    ColumnSchema("x", "numerical"), ColumnSchema("z", "numerical"))
+ds = TabularDataset(schema, np.column_stack([rng.integers(0, k, (n, 2)), rng.normal(size=(n, 2))]),
+                    None, 2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+matrix = encode(ds, np.arange(n), one_hot_encoding(ds)).matrix
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(matrix.nbytes, grown, int(matrix[:, :2 * k].sum()))
+"""
+        src = str(Path(progtab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        nbytes, grown_kib, ones = map(int, out.split())
+        assert nbytes == 6000 * 10002 * 8 and ones == 2 * 6000
+        assert grown_kib * 1024 < nbytes / 4
 
 
 class TestTargetEncoding:
