@@ -156,6 +156,9 @@ def _check_overrides(overrides: dict) -> dict:
     unknown = set(overrides) - set(fields)
     if unknown:
         raise ConfigError(f"unknown RunConfig fields {sorted(unknown)}")
+    if "seed" in overrides:  # _run_pair sets each run's seed from the pair
+        raise ConfigError("a method cannot set seed in its overrides; list the seeds "
+                          "to run in the top-level seeds")
     for name, value in overrides.items():
         if not _fits(value, fields[name].default):
             raise ConfigError(f"RunConfig field {name!r} takes {fields[name].type}, "

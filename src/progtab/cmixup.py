@@ -250,18 +250,19 @@ def _normalize(w: sp.csr_matrix) -> sp.csr_matrix:
 
 
 CG_TOL = 1e-6  # absolute residual norm that ends a class's conjugate-gradient solve
+CG_MAX_ITER = 2000  # iterations after which a class's solve fails
 
 
 # scipy.sparse.linalg.cg gives the same solution, but importing that module
 # costs about 10 MB of resident memory
-def _conjugate_gradient(matvec, b: np.ndarray, max_iter: int) -> np.ndarray:
+def _conjugate_gradient(matvec, b: np.ndarray) -> np.ndarray:
     x = np.zeros_like(b)
-    r = b - matvec(x)
+    r = b.copy()  # the residual of the zero start
     p = r.copy()
     rs = float(r @ r)
     if np.sqrt(rs) < CG_TOL:
         return x
-    for _ in range(max_iter):
+    for _ in range(CG_MAX_ITER):
         ap = matvec(p)
         alpha = rs / float(p @ ap)
         x += alpha * p
@@ -272,7 +273,7 @@ def _conjugate_gradient(matvec, b: np.ndarray, max_iter: int) -> np.ndarray:
         p = r + (rs_new / rs) * p
         rs = rs_new
     raise PropagationError(
-        f"conjugate gradient did not reach residual {CG_TOL} in {max_iter} iterations "
+        f"conjugate gradient did not reach residual {CG_TOL} in {CG_MAX_ITER} iterations "
         f"(residual {np.sqrt(rs):.3e})"
     )
 
@@ -284,14 +285,13 @@ def propagate_labels(
     num_classes: int,
     k: int = 50,
     alpha_diff: float = 0.99,
-    max_iter: int = 2000,
 ) -> PropagationResult:
     """Diffuse labels over the kNN graph: solve (I - alpha * S) Z = Y per class.
 
     labels align with labeled_idx. Every class needs at least one labeled row.
     The graph search runs in the latents' dtype, the solve in float64; each
     class's solve stops once its residual norm is below CG_TOL and fails after
-    max_iter iterations. The classes are solved on a thread pool with one
+    CG_MAX_ITER iterations. The classes are solved on a thread pool with one
     worker per CPU that the process may run on; each solve is the same
     whichever thread runs it.
     """
@@ -323,7 +323,7 @@ def propagate_labels(
 
     def solve(c: int) -> np.ndarray:
         try:
-            return _conjugate_gradient(matvec, y[:, c], max_iter)
+            return _conjugate_gradient(matvec, y[:, c])
         except PropagationError as exc:
             raise PropagationError(
                 f"propagation over {n} rows, class {c} of {num_classes}: {exc}") from None
@@ -393,7 +393,7 @@ def encoder_train(
     knn_k: int = 50,
     batch_size: int = 256,
     seed: int = 0,
-) -> tuple[PropagationResult, list[dict]]:
+) -> tuple[PropagationResult, dict[str, list[float]]]:
     """First training step: reconstruction + same-label mixup supervised
     contrastive (temperature SUPCON_TEMPERATURE) + W_CLF * classifier CE, each
     term only when its head exists. Label propagation, with propagate_labels'
@@ -406,7 +406,7 @@ def encoder_train(
     projection) gets a zero gradient, and Adam still moves its block.
 
     Propagation runs on the encoder output. Returns the propagation result
-    on the final latents and per-epoch mean losses.
+    on the final latents and each loss's per-epoch means.
     """
     rng_shuffle = seeded_rng(seed, "cm-shuffle")
     rng_mix = seeded_rng(seed, "cm-mixup")

@@ -146,8 +146,8 @@ class SyntheticSpec:
             raise DataError("need at least one feature column")
         if self.n_cat_cols > 0 and self.cardinality < self.n_classes:
             raise DataError("cardinality must be >= n_classes")
-        if not self.signal_strength >= 0:  # NaN fails too
-            raise DataError("signal_strength must be >= 0")
+        if not 0 <= self.signal_strength < np.inf:  # NaN fails too
+            raise DataError("signal_strength must be >= 0 and finite")
 
 
 def _repeated(names: list[str]) -> list[str]:
@@ -302,9 +302,9 @@ def fit_scaler(ds: TabularDataset, rows: np.ndarray) -> ScalerState:
     if rows.size == 0:
         raise DataError("fit_scaler: empty row list")
     cols = tuple(ds.numeric_columns())
-    sub = ds.rows[np.ix_(rows, np.array(cols, dtype=np.int64))] if cols else np.empty((rows.size, 0))
-    means = sub.mean(axis=0) if cols else np.empty(0)
-    stds = sub.std(axis=0) if cols else np.empty(0)
+    sub = ds.rows[np.ix_(rows, np.array(cols, dtype=np.int64))]
+    means = sub.mean(axis=0)
+    stds = sub.std(axis=0)
     stds = np.where(stds == 0.0, 1.0, stds)
     return ScalerState(cols, means, stds)
 
@@ -316,8 +316,7 @@ def apply_scaler(ds: TabularDataset, scaler: ScalerState) -> TabularDataset:
             raise DataError("scaler does not match dataset schema")
     rows = ds.rows.copy()
     cols = np.array(scaler.columns, dtype=np.int64)
-    if cols.size:
-        rows[:, cols] = (rows[:, cols] - scaler.means) / scaler.stddevs
+    rows[:, cols] = (rows[:, cols] - scaler.means) / scaler.stddevs
     return replace(ds, rows=rows)
 
 

@@ -43,10 +43,10 @@ class CountTable:
     smoothing: float | None = None
 
     def __post_init__(self):
-        if self.laplace_alpha < 0:
-            raise EncodingError("laplace_alpha must be >= 0")
-        if self.smoothing is not None and not self.smoothing > 0:
-            raise EncodingError("smoothing must be > 0")
+        if not 0 <= self.laplace_alpha < np.inf:  # NaN fails too
+            raise EncodingError("laplace_alpha must be >= 0 and finite")
+        if self.smoothing is not None and not 0 < self.smoothing < np.inf:
+            raise EncodingError("smoothing must be > 0 and finite")
         for name, c in self.counts.items():
             if c.ndim != 2 or c.shape[1] != self.num_classes:
                 raise EncodingError(f"column {name!r}: count matrix must be (K, C)")

@@ -33,11 +33,12 @@ elsewhere. An input with more than half its columns active, such as any CPR,
 target-encoded or latent matrix, computes as a dense product, bit for bit.
 
 In place: ``forward`` adds each bias into its layer's matmul result and
-applies the activation in that array, and ``backward`` multiplies the relu
-mask into a gradient it computed itself. Each writes only to arrays it
-allocated: never to the caller's input, ``grad_output``, or the activations
-of a ``Forward``. ``step`` runs Adam over blocks of the flat vectors, so its
-temporaries are block-sized, not parameter-sized.
+applies the activation in that array. ``backward`` copies ``grad_output``
+once, into the model's dtype, and multiplies each relu mask into the
+gradient in place. Each writes only to arrays it allocated: never to the
+caller's input, ``grad_output``, or the activations of a ``Forward``.
+``step`` runs Adam over blocks of the flat vectors, so its temporaries are
+block-sized, not parameter-sized.
 """
 
 from __future__ import annotations
@@ -181,14 +182,13 @@ class ModelGraph:
         the input gradient, one more matrix product at the first layer, is
         not computed and None takes its place.
         """
-        g = np.asarray(grad_output, dtype=self.params.dtype)
-        owned = not np.may_share_memory(g, grad_output)
+        g = np.array(grad_output, dtype=self.params.dtype)
         grads = np.empty_like(self.params)
         views = self._views(grads, self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             gw, gb = views[i]
-            gz = _activate_backward(layer.activation, fwd.acts[i + 1], g, owned)
+            gz = _activate_backward(layer.activation, fwd.acts[i + 1], g)
             if i or fwd.cols is None:
                 live = np.matmul(fwd.acts[i].T, gz, out=gw)
             else:  # the rows of inactive columns are exact zeros
@@ -198,7 +198,6 @@ class ModelGraph:
             if not (np.isfinite(live).all() and np.isfinite(gb).all()):
                 raise GradientError(i, "non-finite gradient")
             g = gz @ layer.weight.T if i or input_grad else None
-            owned = True
         return grads, g
 
 
@@ -287,13 +286,11 @@ def _activate(kind: str, z: np.ndarray) -> np.ndarray:
     return z if kind == "identity" else softmax(z, out=z)
 
 
-def _activate_backward(kind: str, a: np.ndarray, grad: np.ndarray,
-                       owned: bool) -> np.ndarray:
+def _activate_backward(kind: str, a: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """dL/dz from dL/da and the activation a; relu's a > 0 is exactly z > 0.
-    When ``owned``, grad is an array backward made, and relu's dL/dz is
-    written into it."""
+    grad is an array backward made, and relu's dL/dz is written into it."""
     if kind == "relu":
-        return np.multiply(grad, a > 0, out=grad if owned else None)
+        return np.multiply(grad, a > 0, out=grad)
     return grad if kind == "identity" else softmax_backward(a, grad)
 
 
@@ -480,8 +477,10 @@ def step(optimizer: OptimizerState, model: ModelGraph, grads: np.ndarray) -> Non
 
 
 def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],
-          phase: str) -> list[dict]:
-    """Train ``graph`` in place with Adam; return each epoch's mean losses.
+          phase: str) -> dict[str, list[float]]:
+    """Train ``graph`` in place with Adam; return each loss's per-epoch
+    means, ``{loss name: [mean over the epoch's batches, per epoch]}``, the
+    shape reports store (``{}`` for zero epochs).
 
     ``batches(epoch)`` yields (input, losses) pairs, and ``losses(output)``
     returns (the batch's loss values, named by ``loss_names``; dL/d(output) of
@@ -490,7 +489,7 @@ def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],
     an epoch that yields no batch raises ValueError.
     """
     opt = make_optimizer(graph)
-    curve = []
+    curve = {}
     for epoch in range(epochs):
         values = []
         for inputs, losses in batches(epoch):
@@ -504,7 +503,8 @@ def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],
             values.append(batch_values)
         if not values:
             raise ValueError(f"{phase}: epoch {epoch} has no batch to train on")
-        curve.append(dict(zip(loss_names, np.mean(values, axis=0))))
+        for name, v in zip(loss_names, np.mean(values, axis=0)):
+            curve.setdefault(name, []).append(float(v))
     return curve
 
 

@@ -124,10 +124,10 @@ class RunConfig:
                 problems.append(f"{nm} must be >= {low}")
         if min(self.predictor_hidden, default=1) < 1:
             problems.append("hidden layer widths must be >= 1")
-        if self.encoding == "target" and not self.te_smoothing > 0:
-            problems.append("te_smoothing must be > 0")
-        if not self.beta_consistency >= 0:  # NaN fails too
-            problems.append("beta_consistency must be >= 0")
+        if self.encoding == "target" and not 0 < self.te_smoothing < np.inf:
+            problems.append("te_smoothing must be > 0 and finite")
+        if not 0 <= self.beta_consistency < np.inf:  # NaN fails too
+            problems.append("beta_consistency must be >= 0 and finite")
         elif self.beta_consistency > 0 and self.k_corruptions < 2:
             problems.append("beta_consistency > 0 needs k_corruptions >= 2")
         return problems
@@ -248,13 +248,6 @@ class ExperimentReport:
         return cls(**payload)
 
 
-def _curve_to_json(curve: list[dict]) -> dict:
-    if not curve:
-        return {}
-    keys = curve[0].keys()
-    return {k: [float(e[k]) for e in curve] for k in keys}
-
-
 def _train_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConfig, seed: int):
     """One run of the configured pipeline: step 1 (vime's pretext or the
     cmixup encoder), then a predictor with consistency regularization on the
@@ -267,32 +260,29 @@ def _train_run(xl, yl, xu, unlabeled_idx, num_classes: int, config: RunConfig, s
                                  with_encoder=config.pretext_enabled)
         spec = CorruptionSpec(config.p_mask, seed=seed)
         if config.pretext_enabled:
-            curves["pretext"] = _curve_to_json(vime.pretext_train(
-                model, xu, spec, epochs=config.pretext_epochs, batch_size=config.batch_size))
+            curves["pretext"] = vime.pretext_train(
+                model, xu, spec, epochs=config.pretext_epochs, batch_size=config.batch_size)
     else:
         net = cmixup.build_cmixup_model(xl.shape[1], num_classes, latent_dim=config.latent_dim,
                                         flags=config.component_flags, seed=seed)
-        prop, enc_curve = cmixup.encoder_train(
+        prop, curves["encoder"] = cmixup.encoder_train(
             net, xl, yl, xu, num_classes, warmup_epochs=config.warmup_epochs,
             epochs=config.encoder_epochs, knn_k=config.knn_k,
             batch_size=config.batch_size, seed=seed,
         )
-        curves["encoder"] = _curve_to_json(enc_curve)
         model = VimeModel(net, ModelGraph.mlp(
             config.latent_dim, config.predictor_hidden, num_classes, "softmax",
             seed=derive_seed(seed, "cm-step2-predictor"), dtype=np.float32))
         spec = CorruptionSpec(config.p_mask, seed=derive_seed(seed, "cm-step2"))
-    semi_curve = vime.semisup_train(
+    curves["semisup"] = vime.semisup_train(
         model, xl, yl, xu, spec, beta=config.beta_consistency,
         k_corruptions=config.k_corruptions, epochs=config.semisup_epochs,
         batch_size=config.batch_size,
     )
-    curves["semisup"] = _curve_to_json(semi_curve)
 
     if config.pipeline == "vime":
         labels, conf = vime.predict(model, xu)
-        return model, PseudoLabelSet(unlabeled_idx, labels, classifier_conf=conf,
-                                     classifier_labels=labels), curves
+        return model, PseudoLabelSet(unlabeled_idx, labels, classifier_conf=conf), curves
     # propagation ran over [labeled; unlabeled] order: the unlabeled tail
     n_lab = xl.shape[0]
     clf_labels = clf_conf = None
@@ -319,8 +309,7 @@ def run_progressive(ds: TabularDataset, split: DataSplit, config: RunConfig) -> 
     y = ds.labels
     dss = apply_scaler(ds, fit_scaler(ds, split.train_idx))
     labeled_labels = y[split.labeled_idx]
-    base_table = fit_table(dss, split.labeled_idx, labeled_labels, config)
-    table = base_table
+    table = fit_table(dss, split.labeled_idx, labeled_labels, config)
     rows = np.concatenate([split.labeled_idx, split.unlabeled_idx, split.test_idx])
     bounds = np.cumsum([split.labeled_idx.size, split.unlabeled_idx.size])
     n_runs = config.resolved_n_runs()
@@ -350,7 +339,7 @@ def run_progressive(ds: TabularDataset, split: DataSplit, config: RunConfig) -> 
         runs.append(RunMetrics(float(test_acc), kept_fraction, precision, n_kept,
                                curves, histogram))
         if config.update_enabled and run_i < n_runs:
-            table = update_representation(dss, base_table, refined,
+            table = update_representation(dss, table, refined,
                                           split.labeled_idx, labeled_labels)
     cfg_dict = {k: list(v) if isinstance(v, tuple) else v
                 for k, v in asdict(config).items()}

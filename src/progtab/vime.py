@@ -111,10 +111,10 @@ def pretext_train(
     spec: CorruptionSpec,
     epochs: int = 10,
     batch_size: int = 256,
-) -> list[dict]:
+) -> dict[str, list[float]]:
     """Denoising pretext training, a batch body for nn.train: reconstruction
     MSE + mask BCE, each on its head's block of ``model.net``'s output. The
-    net's graph trains in place. Returns per-epoch mean losses."""
+    net's graph trains in place. Returns each loss's per-epoch means."""
     n, d = x_unlab.shape
     if min(n, batch_size) < 2:
         raise ValueError(f"pretext_train: {n} rows in batches of "
@@ -156,11 +156,11 @@ def semisup_train(
     k_corruptions: int = 3,
     epochs: int = 20,
     batch_size: int = 256,
-) -> list[dict]:
+) -> dict[str, list[float]]:
     """Predictor training, a batch body for nn.train: CE on corrupted labeled
     batches + beta * consistency across k_corruptions corrupted copies of
     unlabeled batches, stacked into one batch. The predictor trains in place
-    and the encoder stays frozen. Returns per-epoch mean losses.
+    and the encoder stays frozen. Returns each loss's per-epoch means.
 
     Corruption is applied before the encoder in this step too (identity when
     p_mask=0), so scarce labeled rows are augmented the same way unlabeled

@@ -93,20 +93,29 @@ class TestConfigParsing:
         assert cfg.methods[0].predictor_hidden == (16,)
         assert cfg.methods[0].n_runs is None
 
-    @pytest.mark.parametrize("beta", ["-1", "NaN"])
+    @pytest.mark.parametrize("beta", ["-1", "NaN", "Infinity"])
     def test_negative_or_nan_beta_rejected(self, tmp_path, beta):
-        # Python's json reads NaN, which fails no "< 0" test
+        # Python's json reads NaN, which fails no "< 0" test, and Infinity,
+        # which passes every ">= 0" test
         text = json.dumps(tiny_payload(tmp_path, [
             {"preset": "vime_semi", "overrides": {"beta_consistency": 0.5}}]))
         payload = json.loads(text.replace('"beta_consistency": 0.5', f'"beta_consistency": {beta}'))
         with pytest.raises(ConfigError, match="beta_consistency must be >= 0"):
             parse_experiment_config(payload)
 
-    @pytest.mark.parametrize("strength", ["-1", "NaN"])
+    @pytest.mark.parametrize("strength", ["-1", "NaN", "Infinity"])
     def test_negative_or_nan_signal_strength_rejected(self, tmp_path, strength):
         text = json.dumps(tiny_payload(tmp_path, [{"preset": "supervised"}]))
         payload = json.loads(text.replace('"signal_strength": 1.2', f'"signal_strength": {strength}'))
         with pytest.raises(ConfigError, match="synthetic spec: signal_strength must be >= 0"):
+            parse_experiment_config(payload)
+
+    @pytest.mark.parametrize("preset", ["supervised", "cmixup_ablation_matrix"])
+    def test_seed_override_rejected(self, tmp_path, preset):
+        # each pair runs with its seed from the top-level seeds; an override
+        # would be replaced without a word
+        payload = tiny_payload(tmp_path, [{"preset": preset, "overrides": {"seed": 77}}])
+        with pytest.raises(ConfigError, match="top-level seeds"):
             parse_experiment_config(payload)
 
     def test_unknown_split_key_rejected(self, tmp_path):
@@ -336,6 +345,17 @@ class TestCliEntry:
         cfg_path.write_text(json.dumps(payload))
         assert main(["validate", "--config", str(cfg_path)]) == 0
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_seed_override_exits_1(self, tmp_path, capsys, verb):
+        payload = tiny_payload(tmp_path, [
+            {"preset": "supervised", "overrides": {**fast_overrides(), "seed": 77}}])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert main([verb, "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert "top-level seeds" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_validate_verb_bad_config(self, tmp_path):
         payload = tiny_payload(tmp_path, [
             {"preset": "vime_semi", "overrides": {"refinement_mode": "two_step_agreement"}}])
@@ -451,7 +471,8 @@ class TestCliEntry:
         lambda spec: spec.update(bogus=1),
         lambda spec: spec.pop("n_rows"),
         lambda spec: spec.update(n_classes=1),
-    ], ids=["unknown-field", "missing-field", "rejected-value"])
+        lambda spec: spec.update(signal_strength=float("inf")),
+    ], ids=["unknown-field", "missing-field", "rejected-value", "infinite-signal"])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_bad_synthetic_spec_exits_1(self, tmp_path, capsys, edit, verb):
         payload = tiny_payload(tmp_path, [{"preset": "supervised"}])
@@ -595,6 +616,9 @@ class TestCliEntry:
         ({"k_corruptions": 1}, "beta_consistency > 0 needs k_corruptions >= 2"),
         ({"encoding": "onehot"}, "unknown encoding 'onehot'"),
         ({"encoding": "label"}, "unknown encoding 'label'"),
+        ({"encoding": "target", "te_smoothing": float("inf")},
+         "te_smoothing must be > 0 and finite"),
+        ({"beta_consistency": float("inf")}, "beta_consistency must be >= 0 and finite"),
     ])
     @pytest.mark.parametrize("verb", ["validate", "run"])
     def test_bad_propagation_setting_exits_1(self, tmp_path, capsys, verb, overrides, problem):

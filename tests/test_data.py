@@ -295,7 +295,7 @@ class TestSynthesize:
         with pytest.raises(DataError):
             SyntheticSpec(100, 1, 2, 0, 4, 1.0, 0)  # cardinality < n_classes
 
-    @pytest.mark.parametrize("strength", [-1.0, float("nan")])
+    @pytest.mark.parametrize("strength", [-1.0, float("nan"), float("inf")])
     def test_signal_strength_must_be_non_negative(self, strength):
         with pytest.raises(DataError, match="signal_strength must be >= 0"):
             SyntheticSpec(100, 1, 5, 0, 4, strength, 0)

@@ -77,6 +77,21 @@ class TestFitCpr:
         assert t.counts["c"].sum(axis=1).tolist() == [1, 0, 0, 0]
 
 
+class TestCountTableSettings:
+    @pytest.mark.parametrize("setting,problem", [
+        ({"laplace_alpha": float("nan")}, "laplace_alpha must be >= 0 and finite"),
+        ({"laplace_alpha": float("inf")}, "laplace_alpha must be >= 0 and finite"),
+        ({"laplace_alpha": -1.0}, "laplace_alpha must be >= 0 and finite"),
+        ({"smoothing": float("inf")}, "smoothing must be > 0 and finite"),
+        ({"smoothing": float("nan")}, "smoothing must be > 0 and finite"),
+        ({"smoothing": 0.0}, "smoothing must be > 0 and finite"),
+    ], ids=["alpha-nan", "alpha-inf", "alpha-negative", "smoothing-inf", "smoothing-nan",
+            "smoothing-zero"])
+    def test_setting_must_be_in_range_and_finite(self, setting, problem):
+        with pytest.raises(EncodingError, match=problem):
+            CountTable({"c": np.ones((2, 3), dtype=np.int64)}, 3, **setting)
+
+
 class TestUpdateCounts:
     def test_increment_formula(self):
         ds = cat_dataset([0, 0, 0], 2)

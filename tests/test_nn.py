@@ -336,7 +336,7 @@ class TestTrain:
         model = ModelGraph.mlp(4, (5,), 3, "softmax", seed=3)
         want = model.copy()
         opt = make_optimizer(want)
-        want_curve = []
+        want_curve = {"ce": []}
         for _ in range(2):
             values = []
             for rows in (slice(0, 8), slice(8, 12)):
@@ -344,7 +344,7 @@ class TestTrain:
                 ce, g = loss_crossentropy(fwd.output, y[rows])
                 step(opt, want, want.backward(fwd, g)[0])
                 values.append(ce)
-            want_curve.append({"ce": np.mean(values)})
+            want_curve["ce"].append(float(np.mean(values)))
 
         def batches(epoch):
             for rows in (slice(0, 8), slice(8, 12)):
@@ -355,6 +355,16 @@ class TestTrain:
 
         assert train(model, 2, batches, ("ce",), "toy") == want_curve
         assert np.array_equal(model.params, want.params)
+
+    def test_zero_epochs_return_an_empty_curve(self):
+        model = ModelGraph.mlp(4, (5,), 3, "softmax", seed=3)
+        before = model.params.copy()
+
+        def batches(epoch):
+            raise AssertionError("no epoch runs")
+
+        assert train(model, 0, batches, ("ce", "consistency"), "toy") == {}
+        assert np.array_equal(model.params, before)
 
     def test_non_finite_loss_raises_before_backward(self, monkeypatch):
         backward_calls = []

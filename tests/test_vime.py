@@ -126,7 +126,7 @@ class TestPretext:
         curve = pretext_train(model, x, spec, epochs=180, batch_size=64)
         after = eval_recon(model, x, spec)
         assert after < 0.1 * before
-        assert curve[-1]["reconstruction"] < curve[0]["reconstruction"]
+        assert curve["reconstruction"][-1] < curve["reconstruction"][0]
 
     def test_fixed_seed_reproducible(self):
         x = rank1_dataset()
@@ -234,7 +234,7 @@ class TestPretext:
         model = build_vime_model(6, 2, latent_dim=8, seed=0)
         curve = pretext_train(model, rank1_dataset()[:2], CorruptionSpec(0.3, seed=1),
                               epochs=2)
-        assert all(np.isfinite(v) for e in curve for v in e.values())
+        assert all(np.isfinite(v) for values in curve.values() for v in values)
 
 
 def desk_data(seed, n=1200, signal=1.5):
@@ -269,7 +269,7 @@ class TestSemisup:
             model, x[split.labeled_idx], y[split.labeled_idx], x[split.unlabeled_idx],
             CorruptionSpec(0.0, seed=2), beta=1.0, k_corruptions=2, epochs=3,
         )
-        assert all(e["consistency"] == 0.0 for e in curve)
+        assert all(v == 0.0 for v in curve["consistency"])
 
     def test_no_labeled_rows_rejected(self):
         model = build_vime_model(6, 2, latent_dim=8, seed=0)
