@@ -288,7 +288,8 @@ def propagate_labels(
 ) -> PropagationResult:
     """Diffuse labels over the kNN graph: solve (I - alpha * S) Z = Y per class.
 
-    labels align with labeled_idx. Every class needs at least one labeled row.
+    labels align with labeled_idx, which names distinct rows in [0, n); each
+    label lies in [0, num_classes), and every class needs a labeled row.
     The graph search runs in the latents' dtype, the solve in float64; each
     class's solve stops once its residual norm is below CG_TOL and fails after
     CG_MAX_ITER iterations. The classes are solved on a thread pool with one
@@ -308,6 +309,15 @@ def propagate_labels(
             f"{bad.size} of {n} latent rows are not finite (first: row {bad[0]})")
     if not 0.0 <= alpha_diff < 1.0:
         raise PropagationError("alpha_diff must lie in [0, 1)")
+    if labeled_idx.ndim != 1 or labels.shape != labeled_idx.shape:
+        raise PropagationError(f"labeled_idx and labels must be 1-D of one length, "
+                               f"got shapes {labeled_idx.shape} and {labels.shape}")
+    for name, v, top in (("labeled_idx", labeled_idx, n), ("labels", labels, num_classes)):
+        if v.size and not 0 <= v.min() <= v.max() < top:
+            raise PropagationError(f"{name} must lie in [0, {top}), got [{v.min()}, {v.max()}]")
+    rows, counts = np.unique(labeled_idx, return_counts=True)
+    if (counts > 1).any():
+        raise PropagationError(f"labeled_idx repeats row(s) {rows[counts > 1].tolist()}")
     present = np.unique(labels)
     if present.size < num_classes:
         missing = sorted(set(range(num_classes)) - set(present.tolist()))
@@ -420,7 +430,7 @@ def encoder_train(
     k_eff = min(knn_k, max(1, n // 2))
 
     def run_propagation() -> PropagationResult:
-        return propagate_labels(model.encoder.forward(x_all).output, np.arange(n_lab), y_lab,
+        return propagate_labels(model.encoder.infer(x_all), np.arange(n_lab), y_lab,
                                 num_classes, k=k_eff)
 
     def batches(epoch):
@@ -441,5 +451,5 @@ def classify(model: HeadedEncoder, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     and max-softmax confidence."""
     if "classifier" not in model.blocks:
         raise ValueError("classifier head is disabled on this model")
-    probs = nn.softmax(model.graph.forward(x).output[:, model.blocks["classifier"]])
+    probs = nn.softmax(model.graph.infer(x)[:, model.blocks["classifier"]])
     return probs.argmax(axis=1).astype(np.int64), probs.max(axis=1)

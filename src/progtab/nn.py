@@ -10,12 +10,12 @@ input). A trainer is a batch body for ``train``: it yields batches and takes
 their losses on the output, and the loop runs the forward, the divergence
 check, the backward and the Adam step.
 
-Precision: a model computes in the dtype of its parameters. ``forward`` and
-``backward`` cast each batch they are given to it, so activations, gradients
-and Adam moments share it. The training pipelines build float32 models;
-``ModelGraph.mlp`` defaults to float64, which the gradient checker needs.
-Each loss computes in its first argument's dtype and reduces its value in
-float64.
+Precision: a model computes in the dtype of its parameters. ``forward``,
+``infer`` and ``backward`` cast each batch they are given to it, so
+activations, gradients and Adam moments share it. The training pipelines
+build float32 models; ``ModelGraph.mlp`` defaults to float64, which the
+gradient checker needs. Each loss computes in its first argument's dtype and
+reduces its value in float64.
 
 Determinism: parameters are initialized from a seeded generator; forward and
 backward are pure ndarray arithmetic with fixed reduction order.
@@ -31,6 +31,20 @@ every later layer's arithmetic keep the dense product's bits; only the
 forward's rounding moves, because the shorter sums split into blocks
 elsewhere. An input with more than half its columns active, such as any CPR,
 target-encoded or latent matrix, computes as a dense product, bit for bit.
+
+Inference: ``infer`` returns the bits of ``forward(x).output`` and keeps no
+``Forward``. Every layer but the last runs over row blocks of BLOCK_ROWS,
+the remainder joining the last block so that no block is shorter; the last
+layer runs once over the whole matrix of the last hidden layer's outputs.
+So it holds that matrix and one block of the others, not every layer's
+activations. The last layer stays whole because its products are narrow
+(4 classes, 54 head columns): with OpenBLAS they round differently in
+blocks of up to 2,048 rows than over the whole matrix, while the hidden
+layers' wider products, the one-hot first layer included, kept their bits
+at every block size from 256 rows up that was tried. A block of one row
+would go through a matrix-vector kernel and change them. The active-column
+decision is made once over the whole input, through the same helper as
+``forward``; each block then casts or gathers those same columns.
 
 In place: ``forward`` adds each bias into its layer's matmul result and
 applies the activation in that array. ``backward`` copies ``grad_output``
@@ -152,7 +166,10 @@ class ModelGraph:
     def copy(self) -> "ModelGraph":
         return ModelGraph(self.layers)
 
-    def forward(self, inputs: np.ndarray) -> "Forward":
+    def _input(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The checked input and its active columns, or None where the first
+        layer takes the dense product. ``forward`` and ``infer`` both decide
+        here, once over the whole input."""
         x = np.asarray(inputs)
         if x.ndim != 2:
             raise NnError(f"input has ndim {x.ndim}, not 2")
@@ -162,16 +179,52 @@ class ModelGraph:
         # the path out, and spares a dense batch the column scan
         half = x.shape[1] / 2
         cols = np.flatnonzero(x.any(axis=0)) if np.count_nonzero(x[:1]) <= half else None
-        if cols is None or cols.size > half:
-            cols, x = None, np.asarray(x, dtype=self.params.dtype)
-        else:
-            x = _gather_columns(x, cols, self.params.dtype)
-        acts = [x]
-        for i, layer in enumerate(self.layers):
-            z = acts[-1] @ (layer.weight if i or cols is None else layer.weight[cols])
-            z += layer.bias
-            acts.append(_activate(layer.activation, z))
+        return x, (None if cols is None or cols.size > half else cols)
+
+    def _first_input(self, x: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
+        """x in the model's dtype, only its columns ``cols`` when given."""
+        if cols is None:
+            return np.asarray(x, dtype=self.params.dtype)
+        return _gather_columns(x, cols, self.params.dtype)
+
+    def _weights(self, cols: np.ndarray | None) -> list[np.ndarray]:
+        """Each layer's weight, the first one's rows ``cols`` only when given."""
+        weights = [layer.weight for layer in self.layers]
+        if cols is not None:
+            weights[0] = weights[0][cols]
+        return weights
+
+    def forward(self, inputs: np.ndarray) -> "Forward":
+        x, cols = self._input(inputs)
+        acts = [self._first_input(x, cols)]
+        for layer, w in zip(self.layers, self._weights(cols)):
+            acts.append(_dense(layer, acts[-1], w))
         return Forward(acts, cols)
+
+    def infer(self, inputs: np.ndarray) -> np.ndarray:
+        """``forward(inputs).output``, bit for bit, without keeping a
+        ``Forward``: every layer but the last runs over blocks of BLOCK_ROWS
+        rows, the remainder joining the last block, and the last layer once
+        over the whole matrix of their outputs. A one-layer graph, or an
+        input shorter than two blocks, is one whole pass."""
+        x, cols = self._input(inputs)
+        *hidden, (last, w_last) = zip(self.layers, self._weights(cols))
+
+        def through_hidden(rows: slice) -> np.ndarray:
+            a = self._first_input(x[rows], cols)
+            for layer, w in hidden:
+                a = _dense(layer, a, w)
+            return a
+
+        n = x.shape[0]
+        if not hidden or n < 2 * BLOCK_ROWS:
+            h = through_hidden(slice(None))
+        else:
+            h = np.empty((n, w_last.shape[0]), dtype=self.params.dtype)
+            starts = range(0, n - BLOCK_ROWS + 1, BLOCK_ROWS)
+            for lo, hi in zip(starts, [*starts[1:], n]):
+                h[lo:hi] = through_hidden(slice(lo, hi))
+        return _dense(last, h, w_last)
 
     def backward(self, fwd: "Forward", grad_output: np.ndarray,
                  input_grad: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -252,17 +305,25 @@ class Forward:
         return self.acts[-1]
 
 
-# input rows that _gather_columns casts at a time
-GATHER_ROWS = 256
+# rows per block: of the input rows that _gather_columns casts at a time,
+# and of the rows that infer sends through the hidden layers at a time
+BLOCK_ROWS = 256
 
 
 def _gather_columns(x: np.ndarray, cols: np.ndarray, dtype) -> np.ndarray:
-    """x[:, cols] in ``dtype``, gathered GATHER_ROWS rows at a time, so no
+    """x[:, cols] in ``dtype``, gathered BLOCK_ROWS rows at a time, so no
     temporary in x's dtype is larger than one block of rows."""
     out = np.empty((x.shape[0], cols.size), dtype=dtype)
-    for lo in range(0, x.shape[0], GATHER_ROWS):
-        out[lo:lo + GATHER_ROWS] = x[lo:lo + GATHER_ROWS, cols]
+    for lo in range(0, x.shape[0], BLOCK_ROWS):
+        out[lo:lo + BLOCK_ROWS] = x[lo:lo + BLOCK_ROWS, cols]
     return out
+
+
+def _dense(layer: DenseLayer, a: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The layer's activation of a @ weight + bias, computed in one new array."""
+    z = a @ weight
+    z += layer.bias
+    return _activate(layer.activation, z)
 
 
 def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

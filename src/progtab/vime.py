@@ -54,7 +54,7 @@ class VimeModel:
     def latent(self, x: np.ndarray) -> np.ndarray:
         if self.net is None:
             return x
-        return self.net.encoder.forward(x).output
+        return self.net.encoder.infer(x)
 
 
 def build_vime_model(
@@ -205,8 +205,7 @@ def semisup_train(
 
 def predict(model: VimeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Argmax labels (ties to the lowest class index) and max-softmax confidence."""
-    h = model.latent(x)
-    probs = model.predictor.forward(h).output
+    probs = model.predictor.infer(model.latent(x))
     labels = probs.argmax(axis=1).astype(np.int64)
     return labels, probs.max(axis=1)
 

@@ -319,6 +319,23 @@ class TestPropagation:
             propagate_labels(rng.normal(size=(20, 3)), np.array([0, 1]),
                              np.array([0, 0]), 2, k=4)
 
+    @pytest.mark.parametrize("labeled_idx, labels, message", [
+        ([0, 1, 2], [0, 1, -1], r"labels must lie in \[0, 2\), got \[-1, 1\]"),
+        ([0, 1, 2], [0, 1, 2], r"labels must lie in \[0, 2\), got \[0, 2\]"),
+        ([0, 1, -1], [0, 1, 1], r"labeled_idx must lie in \[0, 20\), got \[-1, 1\]"),
+        ([0, 1, 20], [0, 1, 1], r"labeled_idx must lie in \[0, 20\), got \[0, 20\]"),
+        ([0, 1, 2], [0, 1], r"1-D of one length, got shapes \(3,\) and \(2,\)"),
+        ([0, 1], [0, 1, 1], r"1-D of one length, got shapes \(2,\) and \(3,\)"),
+        ([0, 5, 1, 5], [0, 1, 1, 1], r"labeled_idx repeats row\(s\) \[5\]"),
+    ], ids=["label-1", "label-C", "index-1", "index-n", "more-idx", "more-labels",
+            "repeated-idx"])
+    def test_out_of_range_or_mismatched_labels_rejected(self, labeled_idx, labels, message):
+        # a label or index of -1 used to wrap around to the last
+        # class or row, and the others raised a bare IndexError
+        latents = np.random.default_rng(8).normal(size=(20, 3))
+        with pytest.raises(PropagationError, match=message):
+            propagate_labels(latents, np.array(labeled_idx), np.array(labels), 2, k=4)
+
     @given(seed=st.integers(0, 2000))
     @settings(max_examples=15, deadline=None)
     def test_weights_bounded(self, seed):
@@ -462,7 +479,7 @@ class TestEncoderTrain:
         assert np.allclose(model.graph.params, stepped.params, rtol=1e-10, atol=1e-12)
 
     def test_one_forward_backward_and_step_per_batch(self, monkeypatch):
-        calls = {"forward": 0, "backward": 0, "step": 0}
+        calls = {"infer": 0, "forward": 0, "backward": 0, "step": 0}
         stepped = []
         real_step = nn.step
 
@@ -470,6 +487,7 @@ class TestEncoderTrain:
             stepped.append(graph)
             real_step(opt, graph, g)
 
+        monkeypatch.setattr(ModelGraph, "infer", counting(calls, "infer", ModelGraph.infer))
         monkeypatch.setattr(ModelGraph, "forward", counting(calls, "forward", ModelGraph.forward))
         monkeypatch.setattr(ModelGraph, "backward",
                             counting(calls, "backward", ModelGraph.backward))
@@ -478,10 +496,10 @@ class TestEncoderTrain:
         model = build_cmixup_model(8, 2, latent_dim=6, seed=2)
         before = model.graph.params.copy()
         # 100 rows in batches of 32: four batches per epoch, two epochs of
-        # warmup, then one propagation forward on the final encoder
+        # warmup, then one propagation inference on the final encoder
         encoder_train(model, xl, yl, xu, 2, warmup_epochs=2, epochs=2, knn_k=10,
                       batch_size=32, seed=1)
-        assert calls == {"forward": 9, "backward": 8, "step": 8}
+        assert calls == {"infer": 1, "forward": 8, "backward": 8, "step": 8}
         # the model's graph trained in place: its encoder and its heads moved
         assert all(graph is model.graph for graph in stepped)
         assert model.graph.params.dtype == np.float32

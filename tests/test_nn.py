@@ -3,13 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from progtab import cmixup, vime
+from progtab import cmixup, nn, vime
 from progtab.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPS,
     ADAM_LEARNING_RATE,
+    BLOCK_ROWS,
     DenseLayer,
     gradcheck_cases,
     GradientError,
@@ -730,3 +731,84 @@ class TestActiveColumns:
             tracemalloc.stop()
         assert fwd.cols is not None
         assert peak < x.size * np.dtype(np.float32).itemsize
+
+
+def cast_graph(graph, dtype):
+    return ModelGraph([DenseLayer(l.weight.astype(dtype), l.bias.astype(dtype), l.activation)
+                       for l in graph.layers])
+
+
+class TestInfer:
+    """infer returns forward's output bit for bit, keeping one block of
+    hidden activations instead of every layer's."""
+
+    MODELS = {
+        # vime's predictor on its 32-wide latent
+        "predictor": lambda dtype: ModelGraph.mlp(32, (256, 128), 4, "softmax", seed=1,
+                                                  dtype=dtype),
+        # cmixup's encoder and heads on medium: 18 -> 32 -> 54
+        "headed": lambda dtype: cast_graph(cmixup.build_cmixup_model(18, 4, seed=3).graph,
+                                           dtype),
+        "one-layer": lambda dtype: ModelGraph.mlp(32, (), 4, "softmax", seed=2, dtype=dtype),
+    }
+    ROWS = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 14_400]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(MODELS))
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_equals_the_forward_output(self, dtype, name, rows):
+        model = self.MODELS[name](dtype)
+        x = np.random.default_rng(rows).normal(size=(rows, model.input_dim))
+        x_before = x.copy()
+        assert same_bits(model.infer(x), model.forward(x).output)
+        assert same_bits(x, x_before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("path, widths", [("dense", (30, 30)), ("active", (2000, 2000))])
+    @pytest.mark.parametrize("rows", [2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+    def test_one_hot_inputs_keep_their_bits(self, dtype, path, widths, rows):
+        x = one_hot_like(np.random.default_rng(rows), rows, widths)
+        model = ModelGraph.mlp(x.shape[1], (256, 128), 4, "softmax", seed=4, dtype=dtype)
+        fwd = model.forward(x)
+        assert (fwd.cols is None) == (path == "dense")
+        assert same_bits(model.infer(x), fwd.output)
+
+    def test_the_active_columns_are_chosen_once_over_the_whole_input(self, monkeypatch):
+        rows = 3 * BLOCK_ROWS + 5
+        x = one_hot_like(np.random.default_rng(6), rows, (2000, 2000))
+        # the last block alone has a column that no other row has
+        x[-1, 1999] = 1.0
+        model = ModelGraph.mlp(x.shape[1], (16,), 4, "softmax", seed=4, dtype=np.float32)
+        seen, gather = [], nn._gather_columns
+
+        def spy(xb, cols, dtype):
+            seen.append((xb.shape[0], cols))
+            return gather(xb, cols, dtype)
+
+        monkeypatch.setattr(nn, "_gather_columns", spy)
+        model.infer(x)
+        active = np.flatnonzero(x.any(axis=0))
+        assert [n for n, _ in seen] == [BLOCK_ROWS, BLOCK_ROWS, BLOCK_ROWS + 5]
+        assert all(np.array_equal(cols, active) for _, cols in seen)
+
+    @pytest.mark.parametrize("bad", [np.zeros(32), np.zeros((2, 3, 32)), np.zeros((3, 31))],
+                             ids=["ndim-1", "ndim-3", "width"])
+    def test_rejects_what_forward_rejects_with_its_message(self, bad):
+        model = self.MODELS["predictor"](np.float32)
+        with pytest.raises(NnError) as want:
+            model.forward(bad)
+        with pytest.raises(NnError) as got:
+            model.infer(bad)
+        assert str(got.value) == str(want.value)
+
+    def test_peaks_below_half_of_what_forward_holds(self):
+        model = self.MODELS["predictor"](np.float32)
+        x = np.random.default_rng(2).normal(size=(14_400, 32)).astype(np.float32)
+        held = sum(a.nbytes for a in model.forward(x).acts[1:])
+        tracemalloc.start()
+        try:
+            model.infer(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < held / 2

@@ -278,7 +278,7 @@ class TestSemisup:
                           rank1_dataset()[:40], CorruptionSpec(0.3, seed=1), epochs=1)
 
     def test_one_backward_and_step_per_labeled_batch(self, monkeypatch):
-        calls = {"forward": 0, "backward": 0, "step": 0}
+        calls = {"infer": 0, "forward": 0, "backward": 0, "step": 0}
         stepped = []
         real_step = nn.step
 
@@ -286,6 +286,7 @@ class TestSemisup:
             stepped.append(graph)
             real_step(opt, graph, g)
 
+        monkeypatch.setattr(ModelGraph, "infer", counting(calls, "infer", ModelGraph.infer))
         monkeypatch.setattr(ModelGraph, "forward", counting(calls, "forward", ModelGraph.forward))
         monkeypatch.setattr(ModelGraph, "backward",
                             counting(calls, "backward", ModelGraph.backward))
@@ -297,8 +298,9 @@ class TestSemisup:
         # with three corrupted copies of 16 unlabeled rows
         semisup_train(model, x[:40], np.arange(40) % 2, x[40:100], CorruptionSpec(0.3, seed=1),
                       k_corruptions=3, epochs=2, batch_size=16)
-        # each batch is one encoder forward to the latent, then the predictor's
-        assert calls == {"forward": 12, "backward": 6, "step": 6}
+        # each batch is one encoder inference to the latent, then the
+        # predictor's forward
+        assert calls == {"infer": 6, "forward": 6, "backward": 6, "step": 6}
         assert all(graph is model.predictor for graph in stepped)
         assert np.array_equal(model.net.encoder.params, encoder)
         assert not np.array_equal(model.predictor.params, predictor)
