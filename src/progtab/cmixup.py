@@ -152,7 +152,9 @@ def _knn_affinity(latents: np.ndarray, k: int) -> sp.csr_matrix:
     k-th similarity equals tau and the rest are filled from the entries
     equal to tau. Ties at the k-th similarity go to the lowest column index.
     Each row's edges depend on that row alone, so the graph does not depend
-    on the number of workers or the block size.
+    on the number of workers or the block size. A block writes its rows'
+    edges, at most k per row, into (n, k) column and weight arrays, which
+    are compacted only when some row has fewer than k.
 
     Similarities are computed and compared in the latents' dtype, so float32
     latents give a float32 graph search; the edge weights are float64."""
@@ -167,35 +169,43 @@ def _knn_affinity(latents: np.ndarray, k: int) -> sp.csr_matrix:
     workers = min(cpus, n_blocks)
     groups = min(n, max(_KNN_GROUPS, k))
 
-    def worker_blocks(first: int, buf: np.ndarray) -> list:
-        return [_knn_block(z, start, buf[:min(block, n - start)], k, groups)
-                for start in range(first * block, n, workers * block)]
+    counts = np.empty(n, dtype=np.int64)
+    cols = np.empty((n, k), dtype=np.int32)
+    vals = np.empty((n, k), dtype=np.float64)
+
+    def worker_blocks(first: int, buf: np.ndarray) -> None:
+        for start in range(first * block, n, workers * block):
+            _knn_block(z, start, buf[:min(block, n - start)], k, groups, counts, cols, vals)
 
     bufs = [np.empty((block, n), dtype=z.dtype) for _ in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
-        parts = list(pool.map(worker_blocks, range(workers), bufs))
+        list(pool.map(worker_blocks, range(workers), bufs))  # re-raises a worker's error
     del bufs
-    # block i is the (i // workers)-th block of worker i % workers
-    blocks = [parts[i % workers][i // workers] for i in range(n_blocks)]
-    del parts
-    counts, cols, vals = (np.concatenate(p) for p in zip(*blocks))
-    del blocks
-    w = sp.csr_matrix((vals, cols, np.concatenate(([0], np.cumsum(counts)))), shape=(n, n))
+    if counts.min(initial=k) < k:  # keep only the filled slots
+        filled = np.arange(k) < counts[:, None]
+        cols, vals = cols[filled], vals[filled]
+    w = sp.csr_matrix((vals.ravel(), cols.ravel(), np.concatenate(([0], np.cumsum(counts)))),
+                      shape=(n, n))
     return w.maximum(w.T)
 
 
-def _knn_block(z: np.ndarray, start: int, sims: np.ndarray, k: int,
-               groups: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _knn_block(z: np.ndarray, start: int, sims: np.ndarray, k: int, groups: int,
+               counts: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
     """The edges of rows start:start + b of _knn_affinity's graph before it
     is symmetrized, for the unit rows z, with sims (b, n) as the block's
-    similarity buffer: each row's edge count, then every edge's column
-    (int32) and weight (float64), row by row in column order."""
+    similarity buffer. Each row's edge count goes into ``counts`` and its
+    edges, in column order, into the front of its row of ``cols`` (column)
+    and ``vals`` (weight)."""
     n = z.shape[0]
     b = sims.shape[0]
     span = n // groups * groups  # columns past span fold into the first groups
     np.matmul(z[start:start + b], z.T, out=sims)
     sims[np.arange(b), np.arange(start, start + b)] = -np.inf
-    gmax = np.maximum.reduce(sims[:, :span].reshape(b, -1, groups), axis=1)
+    # sims[:, :span] as (b, span // groups, groups) without copying it
+    row, col = sims.strides
+    folded = np.lib.stride_tricks.as_strided(sims, (b, span // groups, groups),
+                                             (row, groups * col, col), writeable=False)
+    gmax = np.maximum.reduce(folded, axis=1)
     np.maximum(gmax[:, :n - span], sims[:, span:], out=gmax[:, :n - span])
     tau = np.partition(gmax, groups - k, axis=1)[:, groups - k]
 
@@ -212,7 +222,7 @@ def _knn_block(z: np.ndarray, start: int, sims: np.ndarray, k: int,
     top = np.take_along_axis(neg, best, axis=1)
     kept = top < np.inf
     at = [flat[(starts[:, None] + best)[kept]]]
-    vals = [-top[kept]]
+    weights = [-top[kept]]
 
     # rows with fewer than k entries above a positive tau take the
     # lowest-index entries equal to tau; every group whose maximum is tau
@@ -226,15 +236,19 @@ def _knn_block(z: np.ndarray, start: int, sims: np.ndarray, k: int,
         ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= need[short, None]
         tr, tc = np.nonzero(ties)
         at.append(short[tr] * n + lo + tc)
-        vals.append(tau[short[tr]])
+        weights.append(tau[short[tr]])
         need[short] -= np.count_nonzero(ties, axis=1)
         short = short[need[short] > 0]
         lo, hi = hi, hi + 2 * (hi - lo)
     at = np.concatenate(at)
     order = np.argsort(at)
     at = at[order]
-    return (np.bincount(at // n, minlength=b), (at % n).astype(np.int32),
-            np.concatenate(vals, dtype=np.float64)[order])
+    r = at // n
+    count = np.bincount(r, minlength=b)
+    counts[start:start + b] = count
+    slot = np.arange(at.size) - (np.cumsum(count) - count)[r]
+    cols[start + r, slot] = at % n
+    vals[start + r, slot] = np.concatenate(weights)[order]
 
 
 def _normalize(w: sp.csr_matrix) -> sp.csr_matrix:
@@ -440,6 +454,7 @@ def encoder_train(
             idx = order[start:start + batch_size]
             xb = x_all[idx]
             yield xb, partial(_batch_losses, model.blocks, xb, y[idx], idx < n_lab, rng_mix)
+            del xb  # before the next batch is gathered
 
     curve = nn.train(model.graph, epochs, batches, ("reconstruction", "supcon", "classifier_ce"),
                      "cmixup-encoder")

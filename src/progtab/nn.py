@@ -52,7 +52,12 @@ once, into the model's dtype, and multiplies each relu mask into the
 gradient in place. Each writes only to arrays it allocated: never to the
 caller's input, ``grad_output``, or the activations of a ``Forward``.
 ``step`` runs Adam over blocks of the flat vectors, so its temporaries are
-block-sized, not parameter-sized.
+block-sized, not parameter-sized. ``train`` drops its references to a batch,
+its ``Forward``, its gradients and its losses before it draws the next batch,
+and each batch body drops its own before it gathers the next, so one batch
+and one gradient are alive at a time. ``ModelGraph.mlp`` draws each weight
+BLOCK_ROWS rows at a time straight into ``params``, the same stream bit for
+bit, so no float64 copy of a weight matrix is made.
 """
 
 from __future__ import annotations
@@ -121,20 +126,31 @@ class ModelGraph:
         arrays = [a for l in layers for a in (l.weight, l.bias)]
         dtype = np.result_type(np.float32, *{a.dtype for a in arrays})
         self.params = np.concatenate(arrays, axis=None, dtype=dtype)
-        self.layers = [DenseLayer(w, b, l.activation)
-                       for l, (w, b) in zip(layers, self._views(self.params, layers))]
+        self.layers = [DenseLayer(w, b, l.activation) for l, (w, b)
+                       in zip(layers, self._views(self.params, [l.weight.shape for l in layers]))]
 
     @staticmethod
-    def _views(flat: np.ndarray, layers: list[DenseLayer]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(weight, bias) views into a vector laid out like ``params``."""
+    def _views(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views into a vector laid out like ``params``, for
+        layers whose weights have the (in, out) ``shapes``."""
         views, at = [], 0
-        for l in layers:
-            n_in, n_out = l.weight.shape
+        for n_in, n_out in shapes:
             w = flat[at:at + n_in * n_out].reshape(n_in, n_out)
             at += n_in * n_out
             views.append((w, flat[at:at + n_out]))
             at += n_out
         return views
+
+    @classmethod
+    def _adopt(cls, flat: np.ndarray, shapes, activations) -> "ModelGraph":
+        """A graph whose ``params`` is ``flat`` itself, not a copy: its layers
+        have the (in, out) weight ``shapes`` and the ``activations``, and are
+        views into it."""
+        graph = cls.__new__(cls)
+        graph.params = flat
+        graph.layers = [DenseLayer(w, b, act)
+                        for (w, b), act in zip(cls._views(flat, shapes), activations)]
+        return graph
 
     @classmethod
     def mlp(cls, input_dim: int, hidden: tuple[int, ...], output_dim: int,
@@ -143,17 +159,25 @@ class ModelGraph:
 
         He-scaled init for relu layers, Glorot for the rest; biases zero.
         The weights are drawn in float64 and then cast to ``dtype``, so a
-        float32 model starts from the rounded float64 one.
+        float32 model starts from the rounded float64 one. Each weight is
+        drawn BLOCK_ROWS rows at a time straight into ``params``: the same
+        stream, bit for bit, as drawing the whole matrix, with no float64
+        temporary larger than one block of rows.
         """
         dims = [input_dim, *hidden, output_dim]
-        acts = ["relu"] * len(hidden) + [output_activation]
+        shapes = list(zip(dims, dims[1:]))
+        params = np.zeros(sum(n_in * n_out + n_out for n_in, n_out in shapes),
+                          dtype=np.result_type(np.float32, dtype))
+        graph = cls._adopt(params, shapes, ["relu"] * len(hidden) + [output_activation])
         rng = np.random.default_rng(seed)
-        layers = []
-        for fan_in, fan_out, act in zip(dims, dims[1:], acts):
-            scale = np.sqrt(2.0 / (fan_in if act == "relu" else fan_in + fan_out))
-            w = scale * rng.standard_normal((fan_in, fan_out))
-            layers.append(DenseLayer(w.astype(dtype), np.zeros(fan_out, dtype), act))
-        return cls(layers)
+        for layer in graph.layers:
+            fan_in, fan_out = layer.weight.shape
+            scale = np.sqrt(2.0 / (fan_in if layer.activation == "relu" else fan_in + fan_out))
+            for lo in range(0, fan_in, BLOCK_ROWS):
+                block = rng.standard_normal((min(BLOCK_ROWS, fan_in - lo), fan_out))
+                block *= scale
+                layer.weight[lo:lo + BLOCK_ROWS] = block
+        return graph
 
     @property
     def input_dim(self) -> int:
@@ -162,9 +186,6 @@ class ModelGraph:
     @property
     def output_dim(self) -> int:
         return self.layers[-1].weight.shape[1]
-
-    def copy(self) -> "ModelGraph":
-        return ModelGraph(self.layers)
 
     def _input(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The checked input and its active columns, or None where the first
@@ -237,7 +258,7 @@ class ModelGraph:
         """
         g = np.array(grad_output, dtype=self.params.dtype)
         grads = np.empty_like(self.params)
-        views = self._views(grads, self.layers)
+        views = self._views(grads, [layer.weight.shape for layer in self.layers])
         for i in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[i]
             gw, gb = views[i]
@@ -287,11 +308,10 @@ class HeadedEncoder:
     def encoder(self) -> ModelGraph:
         """Every layer but the heads, as a graph whose ``params`` is a view
         of the front of the graph's: training the graph moves it too."""
-        encoder = ModelGraph.__new__(ModelGraph)
-        encoder.layers = self.graph.layers[:-1]
-        encoder.params = self.graph.params[:sum(l.weight.size + l.bias.size
-                                                for l in encoder.layers)]
-        return encoder
+        layers = self.graph.layers[:-1]
+        size = sum(l.weight.size + l.bias.size for l in layers)
+        return ModelGraph._adopt(self.graph.params[:size], [l.weight.shape for l in layers],
+                                 [l.activation for l in layers])
 
 
 @dataclass
@@ -305,8 +325,9 @@ class Forward:
         return self.acts[-1]
 
 
-# rows per block: of the input rows that _gather_columns casts at a time,
-# and of the rows that infer sends through the hidden layers at a time
+# rows per block: of the input rows that _gather_columns casts at a time, of
+# the rows that infer sends through the hidden layers at a time, and of the
+# weight rows that mlp draws at a time
 BLOCK_ROWS = 256
 
 
@@ -545,9 +566,12 @@ def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],
 
     ``batches(epoch)`` yields (input, losses) pairs, and ``losses(output)``
     returns (the batch's loss values, named by ``loss_names``; dL/d(output) of
-    their weighted sum). It is called before the next pair is drawn. A loss
-    that is not finite raises TrainingDiverged for ``phase`` before backward;
-    an epoch that yields no batch raises ValueError.
+    their weighted sum). It is called before the next pair is drawn, and the
+    loop drops its references to the pair, its ``Forward`` and its gradients
+    before it draws the next, so a batch body that drops its own holds one
+    batch at a time. A loss that is not finite raises TrainingDiverged for
+    ``phase`` before backward; an epoch that yields no batch raises
+    ValueError.
     """
     opt = make_optimizer(graph)
     curve = {}
@@ -562,6 +586,8 @@ def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],
             grads, _ = graph.backward(fwd, grad, input_grad=False)
             step(opt, graph, grads)
             values.append(batch_values)
+            # the next pair is drawn with none of this batch's arrays alive
+            del inputs, losses, fwd, grad, grads
         if not values:
             raise ValueError(f"{phase}: epoch {epoch} has no batch to train on")
         for name, v in zip(loss_names, np.mean(values, axis=0)):

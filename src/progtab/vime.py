@@ -8,9 +8,10 @@ trains in place. Step 2 trains a softmax predictor on the frozen latent with
 cross-entropy on labeled rows plus a consistency penalty across corrupted
 copies of unlabeled rows. Both steps are batch bodies for ``nn.train``: each
 draws its batches and takes its losses on the output, and the loop makes one
-forward, one backward and one Adam step per batch. Corruption operates on the
-encoded matrix, resampling masked entries from the empirical column marginal
-of the batch.
+forward, one backward and one Adam step per batch; each body drops its batch
+before it gathers the next, so one is alive at a time. Corruption operates on
+the encoded matrix, resampling masked entries from the empirical column
+marginal of the batch.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ def pretext_train(
                 return (recon, bce), g
 
             yield x_tilde, losses
+            del x, x_tilde, mask, losses  # before the next batch is gathered
 
     return nn.train(model.net.graph, epochs, batches, ("reconstruction", "mask_bce"), "pretext")
 
@@ -189,6 +191,7 @@ def semisup_train(
                 xu = x_unlab[u_order[np.arange(start, start + batch_size) % n_unlab]]
                 xb = np.concatenate([xb] + [corrupt(xu, spec.p_mask, rng_corrupt)[0]
                                             for _ in range(k_corruptions)])
+                del xu
 
             def losses(out):
                 ce, g = nn.loss_crossentropy(out[:nb], yb)
@@ -199,6 +202,7 @@ def semisup_train(
                 return (ce, cons), np.concatenate([g, beta * g_cons.reshape(-1, g.shape[1])])
 
             yield model.latent(xb), losses
+            del xb, yb, losses  # before the next batch is gathered
 
     return nn.train(model.predictor, epochs, batches, ("ce", "consistency"), "semisup")
 

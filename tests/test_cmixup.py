@@ -227,6 +227,20 @@ class TestWorkerCount:
         workers(count)
         assert_matches_dense_reference(self.latents(np.float64), 10)
 
+    # ten rows in the negative orthant have a positive similarity only with
+    # one another, 9 < k, and the zero row with none, so the (n, k) edge
+    # arrays are compacted
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_rows_with_fewer_than_k_edges_match_dense_reference(self, workers, count):
+        workers(count)
+        latents = np.abs(np.random.default_rng(5).normal(size=(600, 6)))
+        latents[-10:] *= -1.0
+        latents[7] = 0.0
+        assert_matches_dense_reference(latents, 10)
+        got = _knn_affinity(latents, 10)
+        assert got[7].nnz == 0
+        assert (np.diff(got.indptr)[-10:] == 9).all()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_graph_is_bit_identical(self, workers, dtype):
         graphs = []
@@ -444,7 +458,7 @@ class TestEncoderTrain:
         xl, yl, xu, _ = cluster_training_data(seed=6, n=60)
         x_all = np.concatenate([xl, xu])
         model = float64_model(8, 2, latent_dim=6, seed=7)
-        initial = HeadedEncoder(model.graph.copy(), model.blocks)
+        initial = HeadedEncoder(ModelGraph(model.graph.layers), model.blocks)
         mixes, props, grads = [], [], []
 
         def recording(fn, out):

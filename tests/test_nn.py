@@ -81,22 +81,46 @@ class TestFlatParameters:
         model.layers[1].bias[1] = -5.0
         assert model.params[-1] == -5.0
 
-    def test_copy_is_independent(self):
-        model = ModelGraph.mlp(3, (4,), 2, "softmax", seed=0)
-        clone = model.copy()
-        assert np.array_equal(clone.params, model.params)
-        assert not np.shares_memory(clone.params, model.params)
-        before = model.params.copy()
-        clone.params += 1.0
-        clone.layers[0].weight[0, 0] = 9.0
-        assert np.array_equal(model.params, before)
-
     def test_constructor_packs_given_arrays(self):
         w = np.arange(6.0).reshape(2, 3)
         model = ModelGraph([DenseLayer(w, np.ones(3), "identity")])
         assert np.array_equal(model.params, [0, 1, 2, 3, 4, 5, 1, 1, 1])
         model.params[0] = 7.0
         assert w[0, 0] == 0.0
+
+    # a first layer that spans two whole blocks and part of a third, and a
+    # second whose fan_in is one row past a block
+    @pytest.mark.parametrize("dims", [(3, (4,), 2), (2 * BLOCK_ROWS + 37, (BLOCK_ROWS + 1, 9), 5),
+                                      (BLOCK_ROWS, (), 3)], ids=["small", "blocks", "one-layer"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mlp_draws_the_whole_matrix_stream(self, dims, dtype):
+        input_dim, hidden, output_dim = dims
+        got = ModelGraph.mlp(input_dim, hidden, output_dim, "softmax", seed=7, dtype=dtype)
+        # the whole-matrix draw: each weight at once in float64, scaled, then cast
+        rng = np.random.default_rng(7)
+        widths = [input_dim, *hidden, output_dim]
+        acts = ["relu"] * len(hidden) + ["softmax"]
+        layers = []
+        for fan_in, fan_out, act in zip(widths, widths[1:], acts):
+            scale = np.sqrt(2.0 / (fan_in if act == "relu" else fan_in + fan_out))
+            w = scale * rng.standard_normal((fan_in, fan_out))
+            layers.append(DenseLayer(w.astype(dtype), np.zeros(fan_out, dtype), act))
+        want = ModelGraph(layers)
+        assert same_bits(got.params, want.params)
+        assert [l.activation for l in got.layers] == acts
+        for layer in got.layers:
+            assert np.shares_memory(layer.weight, got.params)
+            assert np.shares_memory(layer.bias, got.params)
+
+    def test_mlp_peaks_at_its_params_and_a_few_blocks(self):
+        tracemalloc.start()
+        try:
+            model = ModelGraph.mlp(10_002, (256, 128), 4, "softmax", seed=0, dtype=np.float32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = BLOCK_ROWS * 256 * np.dtype(np.float64).itemsize
+        assert peak < model.params.nbytes + 4 * block
 
     def test_backward_gradient_matches_params_layout(self):
         model = ModelGraph.mlp(3, (4,), 2, "identity", seed=1)
@@ -250,7 +274,7 @@ class TestGradcheck:
     @pytest.mark.parametrize("case", gradcheck_cases(), ids=lambda c: c[0])
     def test_every_loss_passes_finite_differences(self, case):
         _, model, fn = case
-        report = gradcheck(model.copy(), fn, epsilon=1e-5)
+        report = gradcheck(ModelGraph(model.layers), fn, epsilon=1e-5)
         assert report.max_rel_err < 1e-4
 
     def test_sparse_input_case_takes_the_active_column_path(self, monkeypatch):
@@ -284,8 +308,8 @@ class TestGradcheck:
 
     def test_report_deterministic(self):
         case = gradcheck_cases()[0]
-        a = gradcheck(case[1].copy(), case[2], epsilon=1e-5)
-        b = gradcheck(case[1].copy(), case[2], epsilon=1e-5)
+        a = gradcheck(ModelGraph(case[1].layers), case[2], epsilon=1e-5)
+        b = gradcheck(ModelGraph(case[1].layers), case[2], epsilon=1e-5)
         assert a == b
 
 
@@ -335,7 +359,7 @@ class TestTrain:
         x = seeded_rng(3, "data").normal(size=(12, 4))
         y = np.arange(12) % 3
         model = ModelGraph.mlp(4, (5,), 3, "softmax", seed=3)
-        want = model.copy()
+        want = ModelGraph(model.layers)
         opt = make_optimizer(want)
         want_curve = {"ce": []}
         for _ in range(2):
@@ -405,6 +429,62 @@ class TestTrain:
             trainers[phase]()
         assert (exc.value.phase, exc.value.epoch) == (phase, 0)
         assert str(exc.value).startswith(f"{phase}: non-finite loss at epoch 0 (")
+
+
+class TestOneBatchAtATime:
+    """While a float32 model 4,096 columns wide trains on float64 batches of
+    256 rows, one batch, one Forward and one parameter gradient are alive."""
+
+    ROWS, WIDTH = 1024, 4096
+
+    @classmethod
+    def data(cls):
+        rng = np.random.default_rng(0)
+        return rng.normal(size=(cls.ROWS, cls.WIDTH)), np.arange(cls.ROWS) % 4
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @staticmethod
+    def budget(model, batch):
+        """params, the gradient and the two Adam moments, one batch and one
+        Forward, and 10%."""
+        fwd = model.forward(batch)
+        return 1.1 * (4 * model.params.nbytes + batch.nbytes + sum(a.nbytes for a in fwd.acts))
+
+    def test_train(self):
+        x, y = self.data()
+        model = ModelGraph.mlp(self.WIDTH, (64,), 4, "softmax", seed=1, dtype=np.float32)
+
+        def batches(epoch):
+            order = np.random.default_rng(epoch).permutation(self.ROWS)
+            for lo in range(0, self.ROWS, 256):
+                rows = order[lo:lo + 256]
+
+                def losses(out, rows=rows):
+                    ce, g = loss_crossentropy(out, y[rows])
+                    return (ce,), g
+
+                yield x[rows], losses
+
+        peak = self.traced_peak(lambda: train(model, 2, batches, ("ce",), "toy"))
+        assert peak < self.budget(model, x[:256])
+
+    def test_semisup_train(self):
+        x, y = self.data()
+        model = vime.build_vime_model(self.WIDTH, 4, predictor_hidden=(64,), seed=1,
+                                      with_encoder=False)
+        peak = self.traced_peak(lambda: vime.semisup_train(
+            model, x, y, np.empty((0, self.WIDTH)), vime.CorruptionSpec(0.0, seed=1),
+            beta=0.0, epochs=2))
+        assert peak < self.budget(model.predictor, x[:256])
 
 
 class TestHeadedEncoder:
@@ -537,7 +617,7 @@ class TestPrecision:
         for layer in model.layers:
             assert layer.weight.dtype == layer.bias.dtype == np.float32
             assert np.shares_memory(layer.weight, model.params)
-        assert model.copy().params.dtype == np.float32
+        assert ModelGraph(model.layers).params.dtype == np.float32
 
     def test_gradcheck_models_are_float64(self):
         assert ModelGraph.mlp(3, (4,), 2, "softmax", seed=0).params.dtype == np.float64
@@ -695,7 +775,7 @@ class TestActiveColumns:
         want_grads, want_in = reference_backward(model, [want_acts[0], *fwd.acts[1:]], g, True)
         assert same_bits(grads, want_grads) and same_bits(grad_in, want_in)
         inactive = np.setdiff1d(np.arange(x.shape[1]), active)
-        assert not model._views(grads, model.layers)[0][0][inactive].any()
+        assert not grads[:model.layers[0].weight.size].reshape(x.shape[1], -1)[inactive].any()
 
         assert same_bits(x, x_before) and same_bits(g, g_before)
         assert all(same_bits(a, b) for a, b in zip(fwd.acts, acts_before))

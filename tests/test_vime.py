@@ -328,7 +328,7 @@ class TestSemisup:
         x_lab, x_unlab = rng.normal(size=(10, 5)), rng.normal(size=(20, 5))
         y_lab = np.full(10, 2)
         predictor = ModelGraph.mlp(5, (8,), 3, "softmax", seed=1, dtype=np.float64)
-        initial = predictor.copy()
+        initial = ModelGraph(predictor.layers)
         corrupted, grads = [], []
         real_corrupt = vime.corrupt
 
