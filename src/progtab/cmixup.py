@@ -430,8 +430,10 @@ def encoder_train(
     projection) gets a zero gradient, and Adam still moves its block.
 
     Propagation runs on the encoder output. Returns the propagation result
-    on the final latents and each loss's per-epoch means.
+    on the final latents and each loss's per-epoch means. Mismatched labels,
+    or unlabeled rows of another width, raise ValueError before training.
     """
+    nn.check_labeled("encoder_train", x_lab, y_lab, x_unlab)
     rng_shuffle = seeded_rng(seed, "cm-shuffle")
     rng_mix = seeded_rng(seed, "cm-mixup")
     n_lab = x_lab.shape[0]

@@ -31,6 +31,15 @@ every later layer's arithmetic keep the dense product's bits; only the
 forward's rounding moves, because the shorter sums split into blocks
 elsewhere. An input with more than half its columns active, such as any CPR,
 target-encoded or latent matrix, computes as a dense product, bit for bit.
+A ``RowIndex`` holds a mostly-zero matrix's nonzeros row by row, built
+once, so that batches of its rows need no full-width copy: ``take(rows)``
+applies the same two rules to the rows' first row and to the union of their
+columns, and returns a ``CompactBatch`` (the rows' entries in those columns,
+the columns, and the full width) where both pass, and the dense rows
+elsewhere. ``forward`` and ``infer`` take a compact batch with neither the
+column scan nor the gather, and build the activations and ``cols`` that the
+dense rows build. A ``-0.0`` entry is no nonzero, as ``any()`` reads it, and
+reads as ``0.0``.
 
 Inference: ``infer`` returns the bits of ``forward(x).output`` and keeps no
 ``Forward``. Every layer but the last runs over row blocks of BLOCK_ROWS,
@@ -187,26 +196,31 @@ class ModelGraph:
     def output_dim(self) -> int:
         return self.layers[-1].weight.shape[1]
 
-    def _input(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The checked input and its active columns, or None where the first
-        layer takes the dense product. ``forward`` and ``infer`` both decide
-        here, once over the whole input."""
-        x = np.asarray(inputs)
+    def _input(self, inputs) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(x, cols, pick): the checked input, its active columns or None
+        where the first layer takes the dense product, and the columns to
+        gather from x: ``cols`` for a full-width input, None where x is a
+        ``CompactBatch``'s values or the product is dense. ``forward`` and
+        ``infer`` both decide here, once over the whole input; a compact
+        batch was decided when it was taken."""
+        compact = isinstance(inputs, CompactBatch)
+        x = inputs.values if compact else np.asarray(inputs)
         if x.ndim != 2:
             raise NnError(f"input has ndim {x.ndim}, not 2")
-        if x.shape[1] != self.input_dim:
-            raise NnError(f"input width {x.shape[1]} does not match first layer {self.input_dim}")
-        # a first row with more than half its entries nonzero already rules
-        # the path out, and spares a dense batch the column scan
-        half = x.shape[1] / 2
-        cols = np.flatnonzero(x.any(axis=0)) if np.count_nonzero(x[:1]) <= half else None
-        return x, (None if cols is None or cols.size > half else cols)
+        width = inputs.width if compact else x.shape[1]
+        if width != self.input_dim:
+            raise NnError(f"input width {width} does not match first layer {self.input_dim}")
+        if compact:
+            return x, inputs.cols, None
+        cols = _active_columns(np.count_nonzero(x[:1]), lambda: np.flatnonzero(x.any(axis=0)),
+                              width)
+        return x, cols, cols
 
-    def _first_input(self, x: np.ndarray, cols: np.ndarray | None) -> np.ndarray:
-        """x in the model's dtype, only its columns ``cols`` when given."""
-        if cols is None:
+    def _first_input(self, x: np.ndarray, pick: np.ndarray | None) -> np.ndarray:
+        """x in the model's dtype, only its columns ``pick`` when given."""
+        if pick is None:
             return np.asarray(x, dtype=self.params.dtype)
-        return _gather_columns(x, cols, self.params.dtype)
+        return _gather_columns(x, pick, self.params.dtype)
 
     def _weights(self, cols: np.ndarray | None) -> list[np.ndarray]:
         """Each layer's weight, the first one's rows ``cols`` only when given."""
@@ -216,8 +230,8 @@ class ModelGraph:
         return weights
 
     def forward(self, inputs: np.ndarray) -> "Forward":
-        x, cols = self._input(inputs)
-        acts = [self._first_input(x, cols)]
+        x, cols, pick = self._input(inputs)
+        acts = [self._first_input(x, pick)]
         for layer, w in zip(self.layers, self._weights(cols)):
             acts.append(_dense(layer, acts[-1], w))
         return Forward(acts, cols)
@@ -228,11 +242,11 @@ class ModelGraph:
         rows, the remainder joining the last block, and the last layer once
         over the whole matrix of their outputs. A one-layer graph, or an
         input shorter than two blocks, is one whole pass."""
-        x, cols = self._input(inputs)
+        x, cols, pick = self._input(inputs)
         *hidden, (last, w_last) = zip(self.layers, self._weights(cols))
 
         def through_hidden(rows: slice) -> np.ndarray:
-            a = self._first_input(x[rows], cols)
+            a = self._first_input(x[rows], pick)
             for layer, w in hidden:
                 a = _dense(layer, a, w)
             return a
@@ -326,9 +340,79 @@ class Forward:
 
 
 # rows per block: of the input rows that _gather_columns casts at a time, of
-# the rows that infer sends through the hidden layers at a time, and of the
-# weight rows that mlp draws at a time
+# the rows that infer sends through the hidden layers at a time, of the
+# weight rows that mlp draws at a time, and of the rows RowIndex scans at a time
 BLOCK_ROWS = 256
+
+
+def _active_columns(first_nonzeros: int, union, width: int) -> np.ndarray | None:
+    """The first layer's rule: the active columns ``union()`` of an input
+    ``width`` columns wide, or None where the product is dense. A first row
+    with more than half its entries nonzero already rules the path out, and
+    spares a dense input the union; so do more than half active columns."""
+    half = width / 2
+    if first_nonzeros > half:
+        return None
+    cols = union()
+    return cols if cols.size <= half else None
+
+
+@dataclass
+class CompactBatch:
+    """Rows of a matrix ``width`` columns wide whose nonzeros all lie in the
+    sorted columns ``cols``: ``values`` holds the rows' entries in those
+    columns, in their order."""
+
+    values: np.ndarray  # (rows, cols.size)
+    cols: np.ndarray
+    width: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape of the rows as a dense matrix."""
+        return self.values.shape[0], self.width
+
+
+class RowIndex:
+    """The nonzeros of a mostly-zero matrix ``x`` in compressed sparse rows:
+    row i's column ``indices`` and ``values`` are [indptr[i], indptr[i + 1]),
+    in column order. Built once, BLOCK_ROWS rows at a time; ``x`` is kept for
+    the batches that the first layer takes dense."""
+
+    def __init__(self, x: np.ndarray):
+        if x.ndim != 2:
+            raise NnError(f"a row index needs a matrix, not ndim {x.ndim}")
+        n, width = x.shape
+        counts = np.zeros(n, dtype=np.int64)
+        indices, values = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=x.dtype)]
+        for lo in range(0, n, BLOCK_ROWS):
+            block = x[lo:lo + BLOCK_ROWS]
+            r, c = np.divmod(np.flatnonzero(block != 0), width)
+            counts[lo:lo + BLOCK_ROWS] = np.bincount(r, minlength=block.shape[0])
+            indices.append(c)
+            values.append(block[r, c])
+        self.x = x
+        self.indptr = np.concatenate([[0], np.cumsum(counts)])
+        self.indices = np.concatenate(indices)
+        self.values = np.concatenate(values)
+
+    def take(self, rows: np.ndarray) -> "CompactBatch | np.ndarray":
+        """x[rows], as a ``CompactBatch`` where the first layer would take
+        the active-column path on it (``_active_columns`` over its first row
+        and over the union of its rows' columns), else as the dense rows."""
+        rows = np.asarray(rows)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        # positions of the rows' nonzeros, row after row
+        at = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        at_cols, width = self.indices[at], self.x.shape[1]
+        cols = _active_columns(lengths[0] if rows.size else 0, lambda: np.unique(at_cols), width)
+        if cols is None:
+            return self.x[rows]
+        values = np.zeros((rows.size, cols.size), dtype=self.values.dtype)
+        values[np.repeat(np.arange(rows.size), lengths),
+               np.searchsorted(cols, at_cols)] = self.values[at]
+        return CompactBatch(values, cols, width)
 
 
 def _gather_columns(x: np.ndarray, cols: np.ndarray, dtype) -> np.ndarray:
@@ -593,6 +677,19 @@ def train(graph: ModelGraph, epochs: int, batches, loss_names: tuple[str, ...],
         for name, v in zip(loss_names, np.mean(values, axis=0)):
             curve.setdefault(name, []).append(float(v))
     return curve
+
+
+def check_labeled(phase: str, x_lab: np.ndarray, y_lab: np.ndarray,
+                  x_unlab: np.ndarray | None = None) -> None:
+    """Raise ValueError for ``phase``, naming the shapes, unless ``y_lab``
+    holds one label per row of ``x_lab`` and ``x_unlab``, when given, has
+    rows of the same shape."""
+    if np.shape(y_lab) != x_lab.shape[:1]:
+        raise ValueError(f"{phase}: labels of shape {np.shape(y_lab)} for labeled rows "
+                         f"of shape {x_lab.shape}")
+    if x_unlab is not None and x_unlab.shape[1:] != x_lab.shape[1:]:
+        raise ValueError(f"{phase}: unlabeled rows of shape {x_unlab.shape} for labeled "
+                         f"rows of shape {x_lab.shape}")
 
 
 # --------------------------------------------------------------------------

@@ -170,23 +170,36 @@ def semisup_train(
     entirely, which makes this the supervised baseline; its rng streams are
     independent of the unlabeled ones, so enabling the consistency term never
     changes which rows or corruptions the labeled path draws.
+
+    Where labeled batches reach the model unchanged (p_mask=0, no
+    unlabeled copies) and the first row of ``x_lab`` has at most half its
+    entries nonzero, as one-hot rows do, the batches are taken from an
+    ``nn.RowIndex`` of ``x_lab`` built once: a batch that the first layer
+    reads by its active columns is then never copied at full width.
+    Mismatched labels, or unlabeled rows of another width on the
+    consistency path, raise ValueError before training.
     """
     n_lab, n_unlab = x_lab.shape[0], x_unlab.shape[0]
+    use_unlab = beta > 0.0 and k_corruptions >= 2 and n_unlab >= 2
+    nn.check_labeled("semisup_train", x_lab, y_lab, x_unlab if use_unlab else None)
+    index = None
+    if spec.p_mask == 0.0 and not use_unlab and np.count_nonzero(x_lab[:1]) <= x_lab.shape[1] / 2:
+        index = nn.RowIndex(x_lab)
     rng_lab = seeded_rng(spec.seed, "semisup-lab")
     rng_lab_corrupt = seeded_rng(spec.seed, "semisup-lab-corrupt")
     rng_unlab = seeded_rng(spec.seed, "semisup-unlab")
     rng_corrupt = seeded_rng(spec.seed, "semisup-corrupt")
-    use_unlab = beta > 0.0 and k_corruptions >= 2 and n_unlab >= 2
 
     def batches(epoch):
         order = rng_lab.permutation(n_lab)
         u_order = rng_unlab.permutation(n_unlab) if use_unlab else None
         for start in range(0, n_lab, batch_size):
             rows = order[start:start + batch_size]
-            xb, yb = x_lab[rows], y_lab[rows]
-            if spec.p_mask > 0.0 and xb.shape[0] >= 2:
+            xb = x_lab[rows] if index is None else index.take(rows)
+            yb = y_lab[rows]
+            nb = rows.size  # the batch holds nb labeled rows, then the copies
+            if spec.p_mask > 0.0 and nb >= 2:
                 xb, _ = corrupt(xb, spec.p_mask, rng_lab_corrupt)
-            nb = xb.shape[0]  # the batch holds nb labeled rows, then the copies
             if use_unlab:
                 xu = x_unlab[u_order[np.arange(start, start + batch_size) % n_unlab]]
                 xb = np.concatenate([xb] + [corrupt(xu, spec.p_mask, rng_corrupt)[0]

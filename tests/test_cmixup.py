@@ -543,6 +543,20 @@ class TestEncoderTrain:
         assert report.n_params == graph.params.size
         assert report.max_rel_err < 1e-6
 
+    @pytest.mark.parametrize("case, n_labels, unlab_width", [
+        ("more labels", 22, 8), ("fewer labels", 18, 8), ("unlabeled width", 20, 7)])
+    def test_mismatched_inputs_rejected_before_training(self, monkeypatch, case, n_labels,
+                                                        unlab_width):
+        monkeypatch.setattr(nn, "train", lambda *a, **k: pytest.fail("training started"))
+        xl, yl, xu, _ = cluster_training_data(seed=6, n=60)
+        labels = np.resize(yl, n_labels)
+        xu = xu[:, :unlab_width]
+        model = build_cmixup_model(8, 2, latent_dim=6, seed=7)
+        with pytest.raises(ValueError, match=r"^encoder_train: .*shape \(") as exc:
+            encoder_train(model, xl, labels, xu, 2, epochs=1, knn_k=10)
+        assert "(20, 8)" in str(exc.value)
+        assert (f"({n_labels},)" if case != "unlabeled width" else "(40, 7)") in str(exc.value)
+
     def test_original_architecture_flags(self):
         # decoder+projection is the unmodified contrastive-mixup architecture
         xl, yl, xu, _ = cluster_training_data()

@@ -11,12 +11,14 @@ from progtab.nn import (
     ADAM_EPS,
     ADAM_LEARNING_RATE,
     BLOCK_ROWS,
+    CompactBatch,
     DenseLayer,
     gradcheck_cases,
     GradientError,
     HeadedEncoder,
     ModelGraph,
     NnError,
+    RowIndex,
     TrainingDiverged,
     gradcheck,
     l2_normalize_rows,
@@ -486,6 +488,19 @@ class TestOneBatchAtATime:
             beta=0.0, epochs=2))
         assert peak < self.budget(model.predictor, x[:256])
 
+    def test_semisup_train_on_one_hot_rows(self):
+        """Batches of one-hot rows come from a row index: no dense batch, no
+        full-width scan. The budget is params, the two Adam moments, the
+        gradient and one dense 256-row float64 batch."""
+        x = one_hot_like(np.random.default_rng(0), self.ROWS, (2000, 2000))
+        y = np.arange(self.ROWS) % 4
+        model = vime.build_vime_model(x.shape[1], 4, predictor_hidden=(16,), seed=1,
+                                      with_encoder=False)
+        peak = self.traced_peak(lambda: vime.semisup_train(
+            model, x, y, np.empty((0, x.shape[1])), vime.CorruptionSpec(0.0, seed=1),
+            beta=0.0, epochs=2))
+        assert peak < 4 * model.predictor.params.nbytes + x[:256].nbytes
+
 
 class TestHeadedEncoder:
     def test_encoder_is_a_view_that_one_train_step_moves(self):
@@ -892,3 +907,85 @@ class TestInfer:
         finally:
             tracemalloc.stop()
         assert peak < held / 2
+
+
+class TestRowIndex:
+    """A row index's compact batches build the Forward, the gradients and
+    the inference output that the dense rows build, bit for bit."""
+
+    @staticmethod
+    def model(dtype, width):
+        return ModelGraph.mlp(width, (9,), 4, "softmax", seed=8, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_compact_and_dense_batches_agree_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(3)
+        x = one_hot_like(rng, 60, (60, 40))
+        rows = rng.permutation(60)[:20]
+        model = self.model(dtype, x.shape[1])
+        g = rng.normal(size=(20, 4)).astype(dtype)
+
+        batch = RowIndex(x).take(rows)
+        assert isinstance(batch, CompactBatch) and batch.shape == x[rows].shape
+        compact, dense = model.forward(batch), model.forward(x[rows])
+        assert dense.cols is not None and same_bits(compact.cols, dense.cols)
+        assert all(same_bits(a, b) for a, b in zip(compact.acts, dense.acts))
+        for a, b in zip(model.backward(compact, g), model.backward(dense, g)):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+    def test_infer_keeps_the_dense_bits(self, dtype, rows):
+        rng = np.random.default_rng(rows)
+        x = one_hot_like(rng, 4 * BLOCK_ROWS, (2000, 2000))
+        take = rng.permutation(x.shape[0])[:rows]
+        model = ModelGraph.mlp(x.shape[1], (256, 128), 4, "softmax", seed=4, dtype=dtype)
+        batch = RowIndex(x).take(take)
+        assert isinstance(batch, CompactBatch)
+        assert same_bits(model.infer(batch), model.infer(x[take]))
+
+    def test_a_first_row_over_half_returns_the_dense_rows(self):
+        rng = np.random.default_rng(4)
+        x = one_hot_like(rng, 30, (60, 40))
+        x[7, :60] = 1.0  # row 7 alone has 64 of 102 entries nonzero
+        rows = np.array([7, 0, 1, 2])
+        got = RowIndex(x).take(rows)
+        assert isinstance(got, np.ndarray) and same_bits(got, x[rows])
+        assert self.model(np.float32, x.shape[1]).forward(x[rows]).cols is None
+
+    def test_a_union_over_half_returns_the_dense_rows(self):
+        rng = np.random.default_rng(5)
+        x = one_hot_like(rng, 40, (6, 6))  # each row has 4 of 14 entries nonzero
+        rows = np.arange(40)
+        assert np.count_nonzero(x.any(axis=0)) > x.shape[1] / 2
+        got = RowIndex(x).take(rows)
+        assert isinstance(got, np.ndarray) and same_bits(got, x[rows])
+        assert self.model(np.float32, x.shape[1]).forward(x[rows]).cols is None
+
+    def test_zero_rows_and_negative_zeros_are_indexed_as_any_reads_them(self):
+        rng = np.random.default_rng(6)
+        x = one_hot_like(rng, 12, (30, 30))
+        x[3] = 0.0
+        x[5, np.flatnonzero(~x.any(axis=0))[0]] = -0.0
+        index = RowIndex(x)
+        assert index.indptr[4] == index.indptr[3]
+        assert np.array_equal(np.diff(index.indptr), np.count_nonzero(x, axis=1))
+        rows = np.array([3, 5, 0, 8])  # the all-zero row first
+        batch = index.take(rows)
+        assert isinstance(batch, CompactBatch)
+        assert np.array_equal(batch.cols, np.flatnonzero(x[rows].any(axis=0)))
+        assert np.array_equal(batch.values, x[rows][:, batch.cols])
+        model = self.model(np.float64, x.shape[1])
+        assert same_bits(model.forward(batch).output, model.forward(x[rows]).output)
+
+    def test_a_width_mismatch_raises(self):
+        x = one_hot_like(np.random.default_rng(7), 10, (30, 30))
+        batch = RowIndex(x).take(np.arange(10))
+        model = self.model(np.float32, x.shape[1] + 1)
+        for inputs in (batch, x):
+            with pytest.raises(NnError, match=f"^input width {x.shape[1]} does not match"):
+                model.forward(inputs)
+            with pytest.raises(NnError, match=f"^input width {x.shape[1]} does not match"):
+                model.infer(inputs)
+        with pytest.raises(NnError):
+            RowIndex(x[0])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,52 @@ class TestSemisup:
         with pytest.raises(ValueError, match="^semisup: epoch 0 has no batch to train on$"):
             semisup_train(model, np.empty((0, 6)), np.empty(0, dtype=np.int64),
                           rank1_dataset()[:40], CorruptionSpec(0.3, seed=1), epochs=1)
+
+    @pytest.mark.parametrize("case, n_labels, unlab_width", [
+        ("more labels", 12, 6), ("fewer labels", 8, 6), ("unlabeled width", 10, 5)])
+    def test_mismatched_inputs_rejected_before_training(self, monkeypatch, case, n_labels,
+                                                        unlab_width):
+        monkeypatch.setattr(nn, "train", lambda *a, **k: pytest.fail("training started"))
+        model = build_vime_model(6, 2, latent_dim=8, seed=0)
+        rng = np.random.default_rng(0)
+        x_unlab = rng.normal(size=(20, unlab_width))
+        with pytest.raises(ValueError, match=r"^semisup_train: .*shape \(") as exc:
+            semisup_train(model, rng.normal(size=(10, 6)), np.arange(n_labels) % 2, x_unlab,
+                          CorruptionSpec(0.3, seed=1), epochs=1)
+        assert "(10, 6)" in str(exc.value)
+        assert (f"({n_labels},)" if case != "unlabeled width" else "(20, 5)") in str(exc.value)
+
+    def test_unused_unlabeled_rows_may_have_any_width(self):
+        model = build_vime_model(6, 2, with_encoder=False, seed=0)
+        x = np.random.default_rng(0).normal(size=(10, 6))
+        semisup_train(model, x, np.arange(10) % 2, np.empty((0, 3)),
+                      CorruptionSpec(0.0, seed=1), beta=0.0, epochs=1)
+
+    @pytest.mark.parametrize("with_encoder", [False, True])
+    def test_one_hot_rows_train_as_their_dense_batches(self, monkeypatch, with_encoder):
+        """Batches taken from the row index end with the params, bit for
+        bit, of the same model trained on the dense rows."""
+        rng = np.random.default_rng(4)
+        x = np.zeros((600, 802))
+        x[np.arange(600)[:, None], [0, 400] + rng.integers(0, 400, size=(600, 2))] = 1.0
+        x[:, -2:] = rng.normal(size=(600, 2))
+        y = rng.integers(0, 3, size=600)
+
+        def trained():
+            model = build_vime_model(x.shape[1], 3, latent_dim=16, predictor_hidden=(32,),
+                                     seed=5, with_encoder=with_encoder)
+            semisup_train(model, x, y, np.empty((0, x.shape[1])), CorruptionSpec(0.0, seed=5),
+                          beta=0.0, epochs=2, batch_size=128)
+            parts = [model.predictor] + ([model.net.graph] if with_encoder else [])
+            return [hashlib.sha256(part.params.tobytes()).hexdigest() for part in parts]
+
+        taken, take = [], nn.RowIndex.take
+        monkeypatch.setattr(nn.RowIndex, "take",
+                            lambda self, rows: taken.append(take(self, rows)) or taken[-1])
+        compact = trained()
+        assert len(taken) == 10 and all(isinstance(b, nn.CompactBatch) for b in taken)
+        monkeypatch.setattr(nn.RowIndex, "take", lambda self, rows: self.x[rows])
+        assert trained() == compact
 
     def test_one_backward_and_step_per_labeled_batch(self, monkeypatch):
         calls = {"infer": 0, "forward": 0, "backward": 0, "step": 0}
